@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from . import free_group, lamplighter, oracle, raag
@@ -76,14 +77,6 @@ class GrowthData:
         return len(self.ball) - 1
 
 
-def _accumulate(values: Sequence[int]) -> list[int]:
-    total, out = 0, []
-    for v in values:
-        total += v
-        out.append(total)
-    return out
-
-
 def _differences(values: Sequence[int]) -> list[int]:
     return [values[0]] + [b - a for a, b in zip(values, values[1:])]
 
@@ -101,11 +94,12 @@ def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
     if balls[-1] > default_budget():
         completed = max(n for n in range(max_n + 1) if balls[n] <= default_budget())
         raise BudgetExceededError(completed, default_budget())
+    conj_sphere = free_group.conjugacy_sphere_counts(cfg.rank, max_n)
     return GrowthData(
         ball=balls,
         sphere=free_group.sphere_sizes(cfg.rank, max_n),
-        conj_ball=free_group.conjugacy_ball_counts(cfg.rank, max_n),
-        conj_sphere=free_group.conjugacy_sphere_counts(cfg.rank, max_n),
+        conj_ball=list(accumulate(conj_sphere)),
+        conj_sphere=conj_sphere,
         truncated=False,
     )
 
@@ -139,7 +133,7 @@ def _lamplighter_growth(cfg: RunConfig, max_n: int) -> GrowthData:
 def _keyed_oracle_growth(group, key: Callable, max_n: int) -> GrowthData:
     dist, spheres = oracle.ball_enumerate(group, max_n)
     conj_sphere, conj_ball = oracle.key_class_counts(dist, key, max_n)
-    return GrowthData(_accumulate(spheres), list(spheres), conj_ball, conj_sphere, False)
+    return GrowthData(list(accumulate(spheres)), list(spheres), conj_ball, conj_sphere, False)
 
 
 def _growth_data(cfg: RunConfig, max_n: int) -> GrowthData:
@@ -355,7 +349,7 @@ def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     dist, spheres = oracle.ball_enumerate(group, n)
     return [
         ("raag: ball counts vs oracle BFS", n,
-         _accumulate(spheres) == list(counts.ball.values)),
+         list(accumulate(spheres)) == list(counts.ball.values)),
         ("raag: conjugacy counts vs oracle", n,
          list(table.ball_classes) == list(counts.conj_ball.values)),
         ("raag: key partition matches oracle partition", n,
@@ -393,7 +387,7 @@ def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     balls = _zd_ball_counts(cfg.dim, n)
     return [
         ("free-abelian: convolution balls vs oracle BFS", n,
-         _accumulate(spheres) == balls),
+         list(accumulate(spheres)) == balls),
         ("free-abelian: every element is its own class", n,
          list(table.ball_classes) == balls),
         ("free-abelian: oracle stable under slack-1", n, bool(table.stable)),
@@ -408,7 +402,7 @@ def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     table = oracle.conjugacy_classes(group, n, slack=slack)
     return [
         ("dihedral-inf: ball size 2n+1", n,
-         _accumulate(spheres) == [2 * m + 1 for m in range(n + 1)]),
+         list(accumulate(spheres)) == [2 * m + 1 for m in range(n + 1)]),
         ("dihedral-inf: class count 3 + n//2 from n=2", n,
          list(table.ball_classes[2:]) == [3 + m // 2 for m in range(2, n + 1)]),
         ("dihedral-inf: key partition matches oracle partition", n,

@@ -7,6 +7,7 @@ cyclic reduction, which is a complete invariant here.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import ConsistencyError
@@ -81,12 +82,7 @@ def sphere_sizes(rank: int, max_n: int) -> list[int]:
 
 
 def ball_sizes(rank: int, max_n: int) -> list[int]:
-    spheres = sphere_sizes(rank, max_n)
-    total, out = 0, []
-    for s in spheres:
-        total += s
-        out.append(total)
-    return out
+    return list(accumulate(sphere_sizes(rank, max_n)))
 
 
 def _reduced_words(rank: int, length: int) -> Iterator[Word]:
@@ -188,9 +184,4 @@ def conjugacy_sphere_counts(rank: int, max_n: int) -> list[int]:
 
 
 def conjugacy_ball_counts(rank: int, max_n: int) -> list[int]:
-    spheres = conjugacy_sphere_counts(rank, max_n)
-    total, out = 0, []
-    for s in spheres:
-        total += s
-        out.append(total)
-    return out
+    return list(accumulate(conjugacy_sphere_counts(rank, max_n)))

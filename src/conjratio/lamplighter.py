@@ -94,11 +94,7 @@ def sphere_counts(max_n: int) -> list[int]:
 
 
 def ball_counts(max_n: int) -> list[int]:
-    total, out = 0, []
-    for s in sphere_counts(max_n):
-        total += s
-        out.append(total)
-    return out
+    return list(itertools.accumulate(sphere_counts(max_n)))
 
 
 def elements_by_length(max_n: int) -> Iterator[tuple[LampElement, int]]:
@@ -156,8 +152,4 @@ def conjugacy_counts(max_n: int) -> tuple[list[int], list[int]]:
     spheres = [0] * (max_n + 1)
     for length in shortest.values():
         spheres[length] += 1
-    total, balls = 0, []
-    for s in spheres:
-        total += s
-        balls.append(total)
-    return spheres, balls
+    return spheres, list(itertools.accumulate(spheres))

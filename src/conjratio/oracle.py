@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from . import free_group
@@ -312,10 +313,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
     sphere_classes = [0] * (max_n + 1)
     for m in mins:
         sphere_classes[m] += 1
-    total, ball_classes = 0, []
-    for v in sphere_classes:
-        total += v
-        ball_classes.append(total)
+    ball_classes = list(accumulate(sphere_classes))
     stable: Optional[bool] = None
     if slack >= 1:
         _, min_len_smaller = census(max_n + slack - 1)
@@ -351,11 +349,7 @@ def key_class_counts(dist: dict, key: Callable, max_n: int):
     for m in min_len.values():
         if m <= max_n:
             spheres[m] += 1
-    total, balls = 0, []
-    for v in spheres:
-        total += v
-        balls.append(total)
-    return spheres, balls
+    return spheres, list(accumulate(spheres))
 
 
 class _GeneratorView:
@@ -443,13 +437,9 @@ def generating_set_comparison(group, gens_x, gens_y, max_n: int,
         else:
             table = conjugacy_classes(view, max_n, slack=slack, budget=budget)
             conj_balls = list(table.ball_classes)
-        total, balls = 0, []
-        for v in spheres:
-            total += v
-            balls.append(total)
         ratios = ratio(
             CountSequence(tuple(conj_balls), "conjugacy-ball"),
-            CountSequence(tuple(balls), "ball"),
+            CountSequence(tuple(accumulate(spheres)), "ball"),
         )
         return ratios, window_estimate(ratios.values, window)
 

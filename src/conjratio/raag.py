@@ -1,22 +1,33 @@
 """Right-angled Artin groups over a commutation graph.
 
-An element is stored as "piles", one stack per generator: the stack for
-generator g holds +1/-1 entries for g-letters and 0 markers recording
-where letters of noncommuting generators interleave. Pushing a letter
-cancels against the top of its own pile exactly when the group element
-shortens, so the pile state is a canonical form. The shortlex normal form
-falls out by repeatedly emitting the least extractable letter, where a
-letter is extractable iff the bottom of its own pile is a real entry.
+Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and every
+element has one shortlex normal form: its least geodesic word. The counter
+works on these words alone. ``elements`` grows each sphere from the last
+by appending a letter. A backward scan passes the letters the new one
+commutes with and stops at the first it cannot pass; the word is kept
+unless that letter is the new one's inverse (the word would shorten) or a
+passed letter is greater (the new letter would move left of it).
+``counts`` opens one class per cyclically reduced normal form not yet seen;
+such words have the least length in their class, and two of them are
+conjugate exactly when moving letters that can reach the front to the end
+connects them. Sets of generators are bitmasks, so each scan costs one
+mask test per letter.
 
-Conjugacy uses cyclic reduction (peel matching front/back letters of the
-same generator) plus closure under moving an extractable first letter to
-the end; cyclically reduced elements are conjugate exactly when that
-closure connects them, which the test-suite oracle double-checks.
+The oracle route (``element``, ``word``, ``multiply``, ``invert``,
+``cyclic_reduce``) stores an element as "piles", one stack per generator:
+the stack for generator g holds +1/-1 entries for g-letters and 0 markers
+recording where letters of noncommuting generators interleave. Pushing a
+letter cancels against the top of its own pile exactly when the element
+shortens, so the pile state is a canonical form, and the normal form falls
+out by repeatedly emitting the least letter whose pile has a real entry at
+the bottom. The oracle's union-find closure multiplies pile elements and
+so checks the counter's class counts by an independent route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, ConsistencyError, default_budget
@@ -154,6 +165,11 @@ class Raag:
             tuple(j for j in range(self.k) if j != i and j not in adj[i])
             for i in range(self.k)
         )
+        # bit j of _blocks[i]: a letter of generator i keeps a later letter
+        # of generator j from moving left past it (j == i included)
+        self._blocks = tuple(
+            sum(1 << j for j in others) | 1 << i for i, others in enumerate(self.noncommuting)
+        )
 
     # pile plumbing
 
@@ -271,14 +287,25 @@ class Raag:
             self._pop_front(work, gen)
             self._pop_back(work, gen)
 
-    def is_cyclically_reduced(self, word: Sequence[int]) -> bool:
-        piles = self.element(word)
-        if self.word_length(piles) != len(word):
-            return False
-        return self._peelable(self._thaw(piles)) is None
+    def _cyclically_reduced(self, word: tuple[int, ...]) -> bool:
+        """For a normal form: no generator has a letter that can move to the
+        front while its inverse can move to the back."""
+        blocks = self._blocks
+        fronts = blocked = 0
+        for c in word:
+            if not blocked >> (c >> 1) & 1:
+                fronts |= 1 << c
+            blocked |= blocks[c >> 1]
+        blocked = 0
+        for c in reversed(word):
+            if not blocked >> (c >> 1) & 1 and fronts >> (c ^ 1) & 1:
+                return False
+            blocked |= blocks[c >> 1]
+        return True
 
-    def support(self, piles: Piles) -> frozenset[int]:
-        return frozenset(i for i in range(self.k) if any(e != 0 for e in piles[i]))
+    def is_cyclically_reduced(self, word: Sequence[int]) -> bool:
+        nf = self.normal_form(word)
+        return len(nf) == len(word) and self._cyclically_reduced(nf)
 
     def _complement_components(self, support: frozenset[int]) -> list[frozenset[int]]:
         """Components of the complement of the induced commutation subgraph
@@ -307,27 +334,43 @@ class Raag:
         disconnected (the element factors into >= 2 commuting blocks)."""
         if not self.is_cyclically_reduced(word):
             raise ValueError("classify_split needs a cyclically reduced word")
-        comps = self._complement_components(self.support(self.element(word)))
+        comps = self._complement_components(frozenset(c >> 1 for c in word))
         return "split" if len(comps) >= 2 else "non-split"
 
-    def cyclic_class(self, piles: Piles) -> set[tuple[int, ...]]:
+    def _shortlex(self, word: Sequence[int]) -> tuple[int, ...]:
+        """Normal form of a geodesic word, built by inserting its letters
+        one at a time. Letter c goes to the first position after the last
+        letter that blocks it whose letter is greater than c, or at the
+        end; that is where the least-first-letter rule puts it."""
+        blocks = self._blocks
+        out: list[int] = []
+        for c in word:
+            mask = blocks[c >> 1]
+            at = i = len(out)
+            while i and not mask >> (out[i - 1] >> 1) & 1:
+                i -= 1
+                if out[i] > c:
+                    at = i
+            out.insert(at, c)
+        return tuple(out)
+
+    def cyclic_class(self, word: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Normal forms of every same-length conjugate of a cyclically
-        reduced element: closure under moving an extractable first letter
-        to the end."""
-        start = self.word(piles)
-        seen = {start}
-        queue = [piles]
+        reduced normal form: closure under moving a letter that can reach
+        the front to the end."""
+        blocks = self._blocks
+        seen = {word}
+        queue = [word]
         while queue:
-            current = queue.pop()
-            for code in self._front_codes(current):
-                work = self._thaw(current)
-                self._pop_front(work, code >> 1)
-                self._push(work, code)
-                nxt = self._freeze(work)
-                w = self.word(nxt)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(nxt)
+            w = queue.pop()
+            blocked = 0
+            for j, c in enumerate(w):
+                if not blocked >> (c >> 1) & 1:
+                    nxt = self._shortlex(w[:j] + w[j + 1:] + (c,))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+                blocked |= blocks[c >> 1]
         return seen
 
     def conj_key(self, word: Sequence[int]):
@@ -335,68 +378,84 @@ class Raag:
         return self.element_key(self.element(word))
 
     def element_key(self, piles: Piles):
-        return self._key_of_reduced(self.cyclic_reduce(piles))
+        return self._key_of_reduced(self.word(self.cyclic_reduce(piles)))
 
-    def _key_of_reduced(self, piles: Piles):
-        if self.word_length(piles) == 0:
+    def _key_of_reduced(self, word: tuple[int, ...]):
+        """Key of a cyclically reduced normal form."""
+        if not word:
             return ("id",)
-        supp = self.support(piles)
+        supp = frozenset(c >> 1 for c in word)
         comps = self._complement_components(supp)
         if len(comps) >= 2:
-            base = self.word(piles)
-            blocks = []
-            for comp in comps:
-                sub = tuple(c for c in base if (c >> 1) in comp)
-                blocks.append(self._key_of_reduced(self.element(sub)))
+            blocks = [
+                self._key_of_reduced(tuple(c for c in word if (c >> 1) in comp))
+                for comp in comps
+            ]
             support_labels = tuple(self.graph.labels[i] for i in sorted(supp))
             return ("split", support_labels, tuple(sorted(blocks)))
         if self._support_edge_free(supp):
-            return ("ns", least_rotation(self.word(piles)))
-        return ("ns", min(self.cyclic_class(piles)))
+            return ("ns", least_rotation(word))
+        return ("ns", min(self.cyclic_class(word)))
 
     # enumeration
 
-    def elements(self, max_n: int, budget: Optional[int] = None) -> Iterator[tuple[Piles, int]]:
-        """BFS over the Cayley graph; yields (element, word length)."""
+    def elements(self, max_n: int, budget: Optional[int] = None
+                 ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every normal form of length <= max_n exactly once, sphere by
+        sphere; yields (normal form, word length).
+
+        Normal forms are prefix-closed, so each sphere extends the last one.
+        A normal form w followed by letter c is again a normal form unless
+        a backward scan over w, passing letters that c commutes past, stops
+        at c's inverse (w c is shorter) or meets a letter greater than c
+        (c would move left of it)."""
         limit = default_budget() if budget is None else budget
-        identity = self.identity()
-        seen = {identity}
-        yield identity, 0
-        frontier = [identity]
-        codes = [c for i in range(self.k) for c in (2 * i, 2 * i + 1)]
+        blocks = self._blocks
+        codes = range(2 * self.k)
+        total = 1
+        yield (), 0
+        sphere: list[tuple[int, ...]] = [()]
         for dist in range(1, max_n + 1):
             nxt = []
-            for piles in frontier:
-                for code in codes:
-                    work = self._thaw(piles)
-                    self._push(work, code)
-                    cand = self._freeze(work)
-                    if cand not in seen:
-                        if len(seen) >= limit:
-                            raise BudgetExceededError(dist - 1, limit)
-                        seen.add(cand)
-                        nxt.append(cand)
-                        yield cand, dist
-            frontier = nxt
+            for w in sphere:
+                for c in codes:
+                    mask = blocks[c >> 1]
+                    accept = True
+                    for d in reversed(w):
+                        if mask >> (d >> 1) & 1:
+                            accept = d != c ^ 1
+                            break
+                        if d > c:
+                            accept = False
+                            break
+                    if not accept:
+                        continue
+                    if total >= limit:
+                        raise BudgetExceededError(dist - 1, limit)
+                    total += 1
+                    u = w + (c,)
+                    nxt.append(u)
+                    yield u, dist
+            sphere = nxt
 
     def counts(self, max_n: int, budget: Optional[int] = None) -> RaagCounts:
-        """Exact ball/sphere/conjugacy counts by keying every ball element."""
+        """Exact ball/sphere/conjugacy counts: each class is opened at the
+        first cyclically reduced normal form met, which has the least
+        length in its class."""
         sphere = [0] * (max_n + 1)
         class_of: dict[tuple[int, ...], int] = {}
         class_len: list[int] = []
         class_support: list[frozenset[int]] = []
         key_of_class: dict = {}
-        for piles, dist in self.elements(max_n, budget):
+        for w, dist in self.elements(max_n, budget):
             sphere[dist] += 1
-            reduced = self.cyclic_reduce(piles)
-            w = self.word(reduced)
-            if w in class_of:
+            if w in class_of or not self._cyclically_reduced(w):
                 continue
-            supp = self.support(reduced)
+            supp = frozenset(c >> 1 for c in w)
             if self._support_edge_free(supp):
                 members = {rotate(w, r) for r in range(max(len(w), 1))}
             else:
-                members = self.cyclic_class(reduced)
+                members = self.cyclic_class(w)
             class_id = len(class_len)
             for member in members:
                 if member in class_of:
@@ -404,7 +463,7 @@ class Raag:
                 class_of[member] = class_id
             class_len.append(len(w))
             class_support.append(supp)
-            key = self._key_of_reduced(reduced)
+            key = self._key_of_reduced(w)
             if key in key_of_class:
                 raise ConsistencyError(
                     "conjugacy key collides across closure-distinct classes"
@@ -417,14 +476,6 @@ class Raag:
         for supp in class_support:
             labels = tuple(self.graph.labels[i] for i in sorted(supp))
             support_classes[labels] = support_classes.get(labels, 0) + 1
-
-        def accumulate(values):
-            total, out = 0, []
-            for v in values:
-                total += v
-                out.append(total)
-            return out
-
         return RaagCounts(
             ball=CountSequence(tuple(accumulate(sphere)), "ball"),
             sphere=CountSequence(tuple(sphere), "sphere"),

@@ -11,6 +11,7 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 KINDS = ("ball", "sphere", "conjugacy-ball", "conjugacy-sphere")
@@ -62,12 +63,8 @@ class CountSequence:
     def to_ball(self) -> "CountSequence":
         if self.kind not in ("sphere", "conjugacy-sphere"):
             raise ValueError(f"cannot accumulate a {self.kind} sequence")
-        total, sums = 0, []
-        for v in self.values:
-            total += v
-            sums.append(total)
         kind = "ball" if self.kind == "sphere" else "conjugacy-ball"
-        return CountSequence(tuple(sums), kind)
+        return CountSequence(tuple(accumulate(self.values)), kind)
 
 
 def ratio(numer: CountSequence, denom: CountSequence) -> "RatioSequence":

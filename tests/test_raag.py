@@ -9,10 +9,12 @@ slice of that closure.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjratio import free_group as fg
@@ -28,6 +30,7 @@ from conjratio.raag import (
     graph_from_text,
     path_graph,
 )
+from conjratio.sequences import convolve
 from conjratio.words import inverse_code, parse_word, rotate, word_str
 
 P3 = path_graph(3)
@@ -38,6 +41,17 @@ TRIANGLE = complete_graph(3)
 
 p3_letters = st.integers(min_value=0, max_value=5)
 p3_words = st.lists(p3_letters, min_size=0, max_size=8).map(tuple)
+
+
+@st.composite
+def small_graphs_and_radii(draw):
+    """A graph on 1..4 vertices with random edges, and a radius that keeps
+    the oracle's padded ball B(n + 2) to a few thousand elements."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    pairs = list(itertools.combinations(range(k), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    n = draw(st.integers(min_value=0, max_value={1: 4, 2: 4, 3: 3, 4: 2}[k]))
+    return GraphSpec(tuple("abcd"[:k]), frozenset(edges)), n
 
 
 def commutation_closure(word, graph):
@@ -60,6 +74,28 @@ def commutation_closure(word, graph):
                     seen.add(nxt)
                     stack.append(nxt)
     return seen
+
+
+def chiswell_spheres(graph, max_n):
+    """Sphere sizes from Chiswell's growth series of a right-angled Artin
+    group, S(t) = 1 / C(-2t / (1 + t)), where C(x) sums x^|K| over the
+    cliques K of the graph (the empty one included). A clique of size m
+    contributes (-2)^m t^m (1 + t)^-m, so only cliques of size <= max_n
+    reach the truncated series."""
+    k = len(graph.labels)
+    denom = [1] + [0] * max_n
+    for m in range(1, min(k, max_n) + 1):
+        cliques = sum(
+            1
+            for vs in itertools.combinations(range(k), m)
+            if all(e in graph.edges for e in itertools.combinations(vs, 2))
+        )
+        for j in range(max_n - m + 1):
+            denom[m + j] += cliques * (-2) ** m * (-1) ** j * comb(m + j - 1, j)
+    spheres = [1]
+    for n in range(1, max_n + 1):
+        spheres.append(-sum(denom[i] * spheres[n - i] for i in range(1, n + 1)))
+    return spheres
 
 
 def reference_normal_form(word, graph):
@@ -205,7 +241,11 @@ class TestCyclicNormalForm:
 
     def shortlex_language(self, graph, max_n):
         r = Raag(graph)
-        return {r.word(e) for e, _ in r.elements(max_n)}
+        words = [w for w, _ in r.elements(max_n)]
+        for w in words:
+            assert r.normal_form(w) == w
+        assert len(set(words)) == len(words)
+        return set(words)
 
     @pytest.mark.parametrize(
         "graph, max_n",
@@ -304,8 +344,6 @@ class TestCounts:
             assert c.conj_sphere.values == c.sphere.values
 
     def test_square_graph_is_a_product_of_free_groups(self):
-        from conjratio.sequences import convolve
-
         c = raag.counts(C4, 6)
         expected = convolve(fg.ball_counts(2, 6), fg.sphere_sizes(2, 6))
         assert list(c.ball.values) == expected == [1, 9, 49, 217, 865, 3241, 11665]
@@ -316,6 +354,48 @@ class TestCounts:
             Fraction(cb, b) for cb, b in zip(c.conj_ball.values, c.ball.values)
         ]
         assert all(ratios[n + 1] < ratios[n] for n in range(2, 8))
+
+    @pytest.mark.parametrize("graph, n", [(P3, 4), (C4, 3), (EMPTY2, 5)])
+    def test_budget_boundary(self, graph, n):
+        full = raag.counts(graph, n)
+        ball_n = full.ball[n]
+        assert raag.counts(graph, n, budget=ball_n) == full
+        with pytest.raises(BudgetExceededError) as err:
+            raag.counts(graph, n + 1, budget=ball_n)
+        assert err.value.completed == n
+        with pytest.raises(BudgetExceededError) as err:
+            raag.counts(graph, n, budget=ball_n - 1)
+        assert err.value.completed == n - 1
+
+    @settings(max_examples=30)
+    @given(small_graphs_and_radii())
+    def test_counts_match_oracle_on_random_graphs(self, case):
+        graph, n = case
+        c = raag.counts(graph, n)
+        group = oracle.RaagGroup(graph)
+        _, spheres = oracle.ball_enumerate(group, n)
+        table = oracle.conjugacy_classes(group, n, slack=2)
+        assert list(c.ball.values) == list(itertools.accumulate(spheres))
+        assert list(c.conj_ball.values) == list(table.ball_classes)
+        r = Raag(graph)
+        shortest = {}
+        for e, cls in table.class_of.items():
+            if cls not in shortest or r.word_length(e) < r.word_length(shortest[cls]):
+                shortest[cls] = e
+        supports = Counter(
+            tuple(graph.labels[i] for i in sorted({code >> 1 for code in r.word(e)}))
+            for e in shortest.values()
+        )
+        assert c.support_classes == dict(supports)
+
+    @pytest.mark.parametrize("graph", [EMPTY2, EDGE2, P3, TRIANGLE, C4])
+    def test_growth_series_matches_enumerated_spheres(self, graph):
+        enumerated = Counter(d for _, d in Raag(graph).elements(8))
+        assert chiswell_spheres(graph, 8) == [enumerated[d] for d in range(9)]
+
+    def test_square_graph_series_is_a_product_of_free_groups(self):
+        balls = list(itertools.accumulate(chiswell_spheres(C4, 40)))
+        assert balls == convolve(fg.ball_sizes(2, 40), fg.sphere_sizes(2, 40))
 
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetExceededError) as err:
