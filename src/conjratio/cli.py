@@ -20,7 +20,13 @@ from . import free_group, lamplighter, oracle, raag
 from .errors import BudgetExceededError, default_budget
 from .raag import GraphFormatError
 from .sequences import convolve, decimal_str, window_estimate
-from .words import ClosureHypothesisError, cycrep_counts, primitive_counts
+from .words import (
+    ClosureHypothesisError,
+    cycrep_counts,
+    divisors,
+    euler_phi,
+    primitive_counts,
+)
 
 FAMILIES = ("free", "free-abelian", "raag", "lamplighter", "dihedral-inf", "heisenberg")
 COMPARE_FAMILIES = ("dihedral-inf", "free", "free-abelian")
@@ -329,7 +335,6 @@ def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     ]
     strict = free_group.cyclically_reduced_counts(cfg.rank, max(n, 6))
     necklaces = cycrep_counts(strict)
-    from .words import divisors, euler_phi
     identity_ok = all(
         m * necklaces[m - 1] == sum(euler_phi(m // d) * strict[d - 1] for d in divisors(m))
         for m in range(1, len(strict) + 1)
@@ -436,12 +441,20 @@ _VALIDATORS = {
 
 def run_validate(cfg: RunConfig) -> tuple[str, bool]:
     checks = _VALIDATORS[cfg.family](cfg)
-    lines = []
-    all_ok = True
-    for name, radius, ok in checks:
-        all_ok &= ok
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name} (radius {radius})")
-    lines.append(f"{'all checks passed' if all_ok else 'SOME CHECKS FAILED'}")
+    all_ok = all(ok for _, _, ok in checks)
+    if cfg.fmt == "json":
+        payload = {
+            "family": cfg.family,
+            "parameters": _family_parameters(cfg),
+            "max_n": cfg.max_n,
+            "checks": [{"name": name, "radius": radius, "passed": ok}
+                       for name, radius, ok in checks],
+            "all_passed": all_ok,
+        }
+        return _json_table(payload), all_ok
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name} (radius {radius})"
+             for name, radius, ok in checks]
+    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
     return "\n".join(lines) + "\n", all_ok
 
 

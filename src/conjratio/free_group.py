@@ -20,10 +20,13 @@ _BALL_VERIFY_LIMIT = 50_000
 _DIRECT_CLASS_LIMIT = 60_000
 
 
+# the word kernels below inline inverse_code(c) as c ^ 1
+
+
 def reduce_word(word: Sequence[int]) -> Word:
     out: list[int] = []
     for c in word:
-        if out and out[-1] == inverse_code(c):
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
             out.append(c)
@@ -33,7 +36,7 @@ def reduce_word(word: Sequence[int]) -> Word:
 def multiply(x: Sequence[int], y: Sequence[int]) -> Word:
     out = list(x)
     for c in y:
-        if out and out[-1] == inverse_code(c):
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
             out.append(c)
@@ -41,7 +44,7 @@ def multiply(x: Sequence[int], y: Sequence[int]) -> Word:
 
 
 def invert(word: Sequence[int]) -> Word:
-    return tuple(inverse_code(c) for c in reversed(word))
+    return tuple(c ^ 1 for c in reversed(word))
 
 
 def is_reduced(word: Sequence[int]) -> bool:
@@ -49,10 +52,12 @@ def is_reduced(word: Sequence[int]) -> bool:
 
 
 def cyclic_reduce(word: Sequence[int]) -> Word:
-    w = list(reduce_word(word))
-    while len(w) > 1 and w[0] == inverse_code(w[-1]):
-        w = w[1:-1]
-    return tuple(w)
+    w = reduce_word(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == w[j] ^ 1:
+        i += 1
+        j -= 1
+    return w[i:j + 1]
 
 
 def is_cyclically_reduced(word: Sequence[int]) -> bool:

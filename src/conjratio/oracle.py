@@ -4,10 +4,16 @@ Any object with ``identity``, ``generators`` (closed under inversion),
 ``multiply`` and ``invert`` over hashable canonical elements can be
 ball-enumerated by BFS and conjugacy-classified by conjugation closure.
 The closure is union-find over a padded ball B(N + slack), uniting u with
-s^-1 u s for each generator s whenever both sides were enumerated; it is
-exact where a conjugator-length argument exists (free groups, RAAGs:
-peeling to the cyclic reduction never leaves B(N)) and elsewhere it is
-reported together with a stability flag comparing against slack - 1.
+s^-1 u s whenever both sides were enumerated. One generator s from each
+inverse pair suffices: if y = s^-1 u s then u = s y s^-1, so conjugating
+by s^-1 finds no edge that s does not. It is one union pass: edges inside
+B(N + slack - 1) are united first, the slack - 1 census is taken, then the
+edges touching the outer sphere are united for the final census. Both
+censuses scan B(N) only, in BFS order, so a class's first element there is
+its shortest. The closure is exact where a conjugator-length argument
+exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
+B(N)) and elsewhere it is reported together with a stability flag
+comparing against slack - 1.
 
 Also hosts the two coordinate groups used as worked examples: the
 infinite dihedral group (normal forms: alternating words in two
@@ -283,49 +289,60 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
         slack = max_n
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    dist, _ = ball_enumerate(group, max_n + slack, budget)
-    elements = list(dist)
-    pairs = []
-    for x in elements:
-        for s in group.generators:
-            y = group.multiply(group.multiply(group.invert(s), x), s)
-            if y in dist and y != x:
-                pairs.append((x, y))
-
-    def census(radius_cap: int):
-        uf = UnionFind()
-        for x in elements:
-            if dist[x] <= radius_cap:
-                uf.add(x)
-        for x, y in pairs:
-            if dist[x] <= radius_cap and dist[y] <= radius_cap:
+    outer = max_n + slack
+    dist, _ = ball_enumerate(group, outer, budget)
+    # One conjugator per inverse pair: if y = s^-1 x s then x = s y s^-1,
+    # so conjugating by s^-1 yields only edges that s already yields.
+    halves: dict = {}
+    for s in group.generators:
+        s_inv = group.invert(s)
+        if s_inv not in halves:
+            halves[s] = s_inv
+    uf = UnionFind()
+    for x in dist:
+        uf.add(x)
+    # edges inside B(outer - 1) are united now; the ones touching the outer
+    # sphere wait until the slack - 1 census has been taken
+    late = []
+    for x, dx in dist.items():
+        for s, s_inv in halves.items():
+            y = group.multiply(group.multiply(s_inv, x), s)
+            if y == x:
+                continue
+            dy = dist.get(y)
+            if dy is None:
+                continue
+            if dx < outer and dy < outer:
                 uf.union(x, y)
-        min_len: dict = {}
-        for x in elements:
-            if dist[x] <= radius_cap:
-                r = uf.find(x)
-                if r not in min_len or dist[x] < min_len[r]:
-                    min_len[r] = dist[x]
-        return uf, min_len
+            else:
+                late.append((x, y))
 
-    uf, min_len = census(max_n + slack)
-    mins = sorted(m for m in min_len.values() if m <= max_n)
+    def census() -> tuple[list[int], dict]:
+        """Minimum lengths of the classes meeting B(max_n), ascending, and
+        the class numbering of B(max_n): dist is in BFS order, so a class is
+        first met at its shortest element."""
+        roots: dict = {}
+        class_of: dict = {}
+        mins = []
+        for x, d in dist.items():
+            if d > max_n:
+                break
+            r = uf.find(x)
+            if r not in roots:
+                roots[r] = len(roots)
+                mins.append(d)
+            class_of[x] = roots[r]
+        return mins, class_of
+
+    smaller = census()[0] if slack >= 1 else None
+    for x, y in late:
+        uf.union(x, y)
+    mins, class_of = census()
+    stable = None if smaller is None else smaller == mins
     sphere_classes = [0] * (max_n + 1)
     for m in mins:
         sphere_classes[m] += 1
     ball_classes = list(accumulate(sphere_classes))
-    stable: Optional[bool] = None
-    if slack >= 1:
-        _, min_len_smaller = census(max_n + slack - 1)
-        stable = sorted(m for m in min_len_smaller.values() if m <= max_n) == mins
-    roots: dict = {}
-    class_of: dict = {}
-    for x in elements:
-        if dist[x] <= max_n:
-            r = uf.find(x)
-            if r not in roots:
-                roots[r] = len(roots)
-            class_of[x] = roots[r]
     return ConjugacyTable(
         radius=max_n,
         slack=slack,

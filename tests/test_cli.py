@@ -252,6 +252,39 @@ class TestValidate:
         assert "PASS  lamplighter: metric formula vs BFS distance (radius 7)" in out
         assert "PASS  lamplighter: key partition matches oracle partition (radius 7)" in out
 
+    def test_json_report_lists_the_text_checks(self):
+        argv = ["validate", "--family", "dihedral-inf", "--max-n", "20"]
+        _, text, _ = run_cli(argv)
+        code, out, err = run_cli(argv + ["--format", "json"])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert list(payload) == ["family", "parameters", "max_n", "checks", "all_passed"]
+        assert payload["family"] == "dihedral-inf"
+        assert payload["parameters"] == {}
+        assert payload["max_n"] == 20
+        assert payload["all_passed"] is True
+        assert [f"PASS  {c['name']} (radius {c['radius']})" for c in payload["checks"]] \
+            == text.splitlines()[:-1]
+        assert {c["radius"] for c in payload["checks"]} == {16}
+        assert all(c["passed"] is True for c in payload["checks"])
+
+    def test_failed_check_exits_1_in_both_formats(self, monkeypatch):
+        monkeypatch.setitem(cli._VALIDATORS, "free",
+                            lambda cfg: [("ok", 1, True), ("broken", 2, False)])
+        code, out, _ = run_cli(["validate", "--family", "free", "--rank", "3"])
+        assert code == 1
+        assert out == "PASS  ok (radius 1)\nFAIL  broken (radius 2)\nSOME CHECKS FAILED\n"
+        code, out, _ = run_cli(["validate", "--family", "free", "--rank", "3",
+                                "--format", "json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["parameters"] == {"rank": 3}
+        assert payload["checks"] == [
+            {"name": "ok", "radius": 1, "passed": True},
+            {"name": "broken", "radius": 2, "passed": False},
+        ]
+        assert payload["all_passed"] is False
+
 
 class TestNecklace:
     def test_doubling_counts(self, tmp_path):

@@ -20,6 +20,7 @@ from conjratio.oracle import (
     Lamplighter,
     RaagGroup,
     UnionFind,
+    _GeneratorView,
     ball_enumerate,
     conjugacy_classes,
     dihedral_conjugacy_key,
@@ -39,6 +40,65 @@ def balls_from(spheres):
         total += v
         out.append(total)
     return out
+
+
+def reference_closure(group, max_n, slack):
+    """The conjugation closure done the long way: every generator, and a
+    full census of B(max_n + slack) and another of B(max_n + slack - 1)."""
+    dist, _ = ball_enumerate(group, max_n + slack)
+    pairs = []
+    for x in dist:
+        for s in group.generators:
+            y = group.multiply(group.multiply(group.invert(s), x), s)
+            if y in dist and y != x:
+                pairs.append((x, y))
+
+    def census(cap):
+        uf = UnionFind()
+        members = [x for x in dist if dist[x] <= cap]
+        for x in members:
+            uf.add(x)
+        for x, y in pairs:
+            if dist[x] <= cap and dist[y] <= cap:
+                uf.union(x, y)
+        min_len = {}
+        for x in members:
+            r = uf.find(x)
+            min_len[r] = min(min_len.get(r, dist[x]), dist[x])
+        return uf, sorted(m for m in min_len.values() if m <= max_n)
+
+    uf, mins = census(max_n + slack)
+    stable = None if slack == 0 else census(max_n + slack - 1)[1] == mins
+    roots, class_of = {}, {}
+    for x in dist:
+        if dist[x] <= max_n:
+            class_of[x] = roots.setdefault(uf.find(x), len(roots))
+    spheres = [mins.count(n) for n in range(max_n + 1)]
+    return ConjugacyTable(
+        radius=max_n,
+        slack=slack,
+        ball_classes=tuple(balls_from(spheres)),
+        sphere_classes=tuple(spheres),
+        min_lengths=tuple(mins),
+        stable=stable,
+        class_of=class_of,
+    )
+
+
+class SymmetricGroup4:
+    """S4 on tuples, generated by the adjacent transpositions (involutions)."""
+
+    identity = (0, 1, 2, 3)
+    generators = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+    def multiply(self, x, y):
+        return tuple(x[i] for i in y)
+
+    def invert(self, x):
+        out = [0] * len(x)
+        for i, v in enumerate(x):
+            out[v] = i
+        return tuple(out)
 
 
 class TestAdapters:
@@ -188,6 +248,41 @@ class TestConjugacyClasses:
     def test_rejects_negative_slack(self):
         with pytest.raises(ValueError):
             conjugacy_classes(FreeAbelian(1), 3, slack=-1)
+
+    @pytest.mark.parametrize("group,max_n", [
+        pytest.param(FreeGroup(1), 6, id="free1"),
+        pytest.param(FreeGroup(2), 4, id="free2"),
+        pytest.param(FreeAbelian(2), 4, id="z2"),
+        pytest.param(DihedralInfinite(), 6, id="dihedral-reflections"),
+        pytest.param(DihedralInfinite("reflection-rotation"), 5,
+                     id="dihedral-reflection-rotation"),
+        pytest.param(Heisenberg(), 4, id="heisenberg"),
+        pytest.param(Lamplighter(), 4, id="lamplighter"),
+        pytest.param(RaagGroup(raag.path_graph(3)), 3, id="raag-p3"),
+        pytest.param(RaagGroup(raag.empty_graph(2)), 3, id="raag-empty2"),
+        pytest.param(_GeneratorView(FreeGroup(2), [(0,), (2,), (0, 2)]), 2,
+                     id="free2-view"),
+        pytest.param(SymmetricGroup4(), 2, id="s4"),
+    ])
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_matches_reference_closure(self, group, max_n, slack):
+        table = conjugacy_classes(group, max_n, slack=slack)
+        expected = reference_closure(group, max_n, slack)
+        assert table == expected
+        assert list(table.class_of.items()) == list(expected.class_of.items())
+
+    @pytest.mark.parametrize("max_n,slack,stable,ball_classes", [
+        (1, 0, None, (1, 4)),
+        (1, 1, True, (1, 4)),
+        (1, 2, False, (1, 2)),
+        (1, 3, True, (1, 2)),
+        (2, 1, False, (1, 2, 5)),
+    ])
+    def test_symmetric_group_reaches_the_unstable_branch(self, max_n, slack, stable,
+                                                         ball_classes):
+        table = conjugacy_classes(SymmetricGroup4(), max_n, slack=slack)
+        assert table.stable is stable
+        assert table.ball_classes == ball_classes
 
 
 class TestDihedralKey:
