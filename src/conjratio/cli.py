@@ -28,8 +28,6 @@ from .words import (
     primitive_counts,
 )
 
-FAMILIES = ("free", "free-abelian", "raag", "lamplighter", "dihedral-inf", "heisenberg")
-COMPARE_FAMILIES = ("dihedral-inf", "free", "free-abelian")
 GROWTH_HEADER = ("n", "ball", "sphere", "conj_ball", "conj_sphere", "ratio", "n_sph_ratio")
 COMPARE_HEADER = ("n", "ratio_x", "ratio_y", "abs_diff")
 NECKLACE_HEADER = ("n", "total", "primitive", "classes")
@@ -49,7 +47,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         if self.max_n < 0:
             raise ValueError("max radius must be nonnegative")
         if self.rank < 1:
@@ -95,11 +93,17 @@ def _zd_ball_counts(dim: int, max_n: int) -> list[int]:
     return balls
 
 
+def _charge_budget(balls: Sequence[int]) -> None:
+    """Stop before enumerating a ball larger than the element budget; the
+    error names the largest radius whose ball fits."""
+    budget = default_budget()
+    if balls[-1] > budget:
+        raise BudgetExceededError(max(n for n, b in enumerate(balls) if b <= budget), budget)
+
+
 def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
     balls = free_group.ball_counts(cfg.rank, max_n)
-    if balls[-1] > default_budget():
-        completed = max(n for n in range(max_n + 1) if balls[n] <= default_budget())
-        raise BudgetExceededError(completed, default_budget())
+    _charge_budget(balls)
     conj_sphere = free_group.conjugacy_sphere_counts(cfg.rank, max_n)
     return GrowthData(
         ball=balls,
@@ -129,9 +133,7 @@ def _raag_growth(cfg: RunConfig, max_n: int) -> GrowthData:
 
 def _lamplighter_growth(cfg: RunConfig, max_n: int) -> GrowthData:
     balls = lamplighter.ball_counts(max_n)
-    if balls[-1] > default_budget():
-        completed = max(n for n in range(max_n + 1) if balls[n] <= default_budget())
-        raise BudgetExceededError(completed, default_budget())
+    _charge_budget(balls)
     conj_sphere, conj_ball = lamplighter.conjugacy_counts(max_n)
     return GrowthData(balls, lamplighter.sphere_counts(max_n), conj_ball, conj_sphere, False)
 
@@ -143,21 +145,7 @@ def _keyed_oracle_growth(group, key: Callable, max_n: int) -> GrowthData:
 
 
 def _growth_data(cfg: RunConfig, max_n: int) -> GrowthData:
-    if cfg.family == "free":
-        return _free_growth(cfg, max_n)
-    if cfg.family == "free-abelian":
-        return _free_abelian_growth(cfg, max_n)
-    if cfg.family == "raag":
-        return _raag_growth(cfg, max_n)
-    if cfg.family == "lamplighter":
-        return _lamplighter_growth(cfg, max_n)
-    if cfg.family == "dihedral-inf":
-        return _keyed_oracle_growth(
-            oracle.DihedralInfinite(), oracle.dihedral_conjugacy_key, max_n)
-    if cfg.family == "heisenberg":
-        return _keyed_oracle_growth(
-            oracle.Heisenberg(), oracle.heisenberg_conjugacy_key, max_n)
-    raise AssertionError(f"unhandled family {cfg.family}")
+    return FAMILIES[cfg.family].growth(cfg, max_n)
 
 
 def _growth_with_truncation(cfg: RunConfig) -> GrowthData:
@@ -200,16 +188,6 @@ def _json_table(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _family_parameters(cfg: RunConfig) -> dict:
-    if cfg.family == "free":
-        return {"rank": cfg.rank}
-    if cfg.family == "free-abelian":
-        return {"dim": cfg.dim}
-    if cfg.family == "raag":
-        return {"graph": cfg.graph_path}
-    return {}
-
-
 def run_growth(cfg: RunConfig) -> str:
     data = _growth_with_truncation(cfg)
     columns = _growth_columns(data)
@@ -218,7 +196,7 @@ def run_growth(cfg: RunConfig) -> str:
         return _csv_table(GROWTH_HEADER, columns, trailer)
     payload = {
         "family": cfg.family,
-        "parameters": _family_parameters(cfg),
+        "parameters": FAMILIES[cfg.family].parameters(cfg),
         "max_n": cfg.max_n,
         "truncated": data.last_n if data.truncated else None,
         "columns": columns,
@@ -226,30 +204,38 @@ def run_growth(cfg: RunConfig) -> str:
     return _json_table(payload)
 
 
-def _compare_setup(cfg: RunConfig):
-    if cfg.family == "dihedral-inf":
-        group = oracle.DihedralInfinite()
-        return group, [(0,), (1,)], [(0,), (0, 1)], oracle.dihedral_conjugacy_key
-    if cfg.family == "free":
-        group = oracle.FreeGroup(cfg.rank)
-        standard = [(c,) for c in range(0, 2 * cfg.rank, 2)]
-        if cfg.rank == 1:
-            extended = [(0, 0), (0, 0, 0)]
-        else:
-            extended = standard + [(0, 2)]
-        return group, standard, extended, free_group.conj_key
-    if cfg.family == "free-abelian":
-        group = oracle.FreeAbelian(cfg.dim)
-        units = list(group.generators)
-        doubled = [tuple(2 * a for a in v) for v in units]
-        tripled = [tuple(3 * a for a in v) for v in units]
-        return group, units, doubled + tripled, lambda x: x
-    raise ValueError(
-        f"compare supports families {COMPARE_FAMILIES}, got {cfg.family!r}")
+# compare setups: (group, generating set x, generating set y, class key)
+
+
+def _compare_dihedral(cfg: RunConfig):
+    group = oracle.DihedralInfinite()
+    return group, [(0,), (1,)], [(0,), (0, 1)], oracle.dihedral_conjugacy_key
+
+
+def _compare_free(cfg: RunConfig):
+    group = oracle.FreeGroup(cfg.rank)
+    standard = [(c,) for c in range(0, 2 * cfg.rank, 2)]
+    if cfg.rank == 1:
+        extended = [(0, 0), (0, 0, 0)]
+    else:
+        extended = standard + [(0, 2)]
+    return group, standard, extended, free_group.conj_key
+
+
+def _compare_free_abelian(cfg: RunConfig):
+    group = oracle.FreeAbelian(cfg.dim)
+    units = list(group.generators)
+    doubled = [tuple(2 * a for a in v) for v in units]
+    tripled = [tuple(3 * a for a in v) for v in units]
+    return group, units, doubled + tripled, lambda x: x
 
 
 def run_compare(cfg: RunConfig) -> str:
-    group, gens_x, gens_y, key = _compare_setup(cfg)
+    family = FAMILIES[cfg.family]
+    if family.compare is None:
+        supported = tuple(sorted(name for name, f in FAMILIES.items() if f.compare))
+        raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
+    group, gens_x, gens_y, key = family.compare(cfg)
     report = oracle.generating_set_comparison(
         group, gens_x, gens_y, cfg.max_n,
         slack=cfg.slack, window=cfg.window, key=key)
@@ -266,7 +252,7 @@ def run_compare(cfg: RunConfig) -> str:
         return _csv_table(COMPARE_HEADER, columns)
     payload = {
         "family": cfg.family,
-        "parameters": _family_parameters(cfg),
+        "parameters": family.parameters(cfg),
         "max_n": cfg.max_n,
         "window": cfg.window,
         "columns": columns,
@@ -429,23 +415,44 @@ def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     ]
 
 
-_VALIDATORS = {
-    "free": _validate_free,
-    "free-abelian": _validate_free_abelian,
-    "raag": _validate_raag,
-    "lamplighter": _validate_lamplighter,
-    "dihedral-inf": _validate_dihedral,
-    "heisenberg": _validate_heisenberg,
+@dataclass(frozen=True)
+class Family:
+    """Everything the verbs need to know about one family."""
+
+    growth: Callable[[RunConfig, int], GrowthData]
+    validate: Callable[[RunConfig], list[tuple[str, int, bool]]]
+    parameters: Callable[[RunConfig], dict] = lambda cfg: {}
+    compare: Optional[Callable[[RunConfig], tuple]] = None  # None: compare unsupported
+
+
+FAMILIES = {
+    "free": Family(_free_growth, _validate_free,
+                   parameters=lambda cfg: {"rank": cfg.rank}, compare=_compare_free),
+    "free-abelian": Family(_free_abelian_growth, _validate_free_abelian,
+                           parameters=lambda cfg: {"dim": cfg.dim},
+                           compare=_compare_free_abelian),
+    "raag": Family(_raag_growth, _validate_raag,
+                   parameters=lambda cfg: {"graph": cfg.graph_path}),
+    "lamplighter": Family(_lamplighter_growth, _validate_lamplighter),
+    "dihedral-inf": Family(
+        lambda cfg, max_n: _keyed_oracle_growth(
+            oracle.DihedralInfinite(), oracle.dihedral_conjugacy_key, max_n),
+        _validate_dihedral, compare=_compare_dihedral),
+    "heisenberg": Family(
+        lambda cfg, max_n: _keyed_oracle_growth(
+            oracle.Heisenberg(), oracle.heisenberg_conjugacy_key, max_n),
+        _validate_heisenberg),
 }
 
 
 def run_validate(cfg: RunConfig) -> tuple[str, bool]:
-    checks = _VALIDATORS[cfg.family](cfg)
+    family = FAMILIES[cfg.family]
+    checks = family.validate(cfg)
     all_ok = all(ok for _, _, ok in checks)
     if cfg.fmt == "json":
         payload = {
             "family": cfg.family,
-            "parameters": _family_parameters(cfg),
+            "parameters": family.parameters(cfg),
             "max_n": cfg.max_n,
             "checks": [{"name": name, "radius": radius, "passed": ok}
                        for name, radius, ok in checks],
@@ -468,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_family=True):
         if with_family:
-            p.add_argument("--family", required=True, choices=FAMILIES)
+            p.add_argument("--family", required=True, choices=tuple(FAMILIES))
             p.add_argument("--rank", type=int, default=2,
                            help="rank for the free family (default 2)")
             p.add_argument("--dim", type=int, default=2,

@@ -3,6 +3,12 @@
 Elements are tuples of letter codes (see words.py) with no adjacent
 cancelling pair. Conjugacy classes are keyed by the least rotation of the
 cyclic reduction, which is a complete invariant here.
+
+Every count is a closed form: spheres 2k(2k-1)^(n-1), cyclically reduced
+words (2k-1)^n + 1 + (k-1)(1 + (-1)^n) (Rivin, *Growth in free groups*),
+and classes as necklaces of those words. No counter enumerates words; the
+enumeration cross-checks live in tests/test_free_group.py and in
+``conjratio validate --family free`` (BFS and the oracle's closure).
 """
 
 from __future__ import annotations
@@ -10,15 +16,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .errors import ConsistencyError
 from .words import cycrep_counts, inverse_code, least_rotation
 
 Word = tuple[int, ...]
-
-# caps for the redundant enumeration cross-checks baked into the counters
-_BALL_VERIFY_LIMIT = 50_000
-_DIRECT_CLASS_LIMIT = 60_000
-
 
 # the word kernels below inline inverse_code(c) as c ^ 1
 
@@ -86,12 +86,14 @@ def sphere_sizes(rank: int, max_n: int) -> list[int]:
     return out
 
 
-def ball_sizes(rank: int, max_n: int) -> list[int]:
+def ball_counts(rank: int, max_n: int) -> list[int]:
+    """|B(0..max_n)|: running sums of the sphere sizes."""
     return list(accumulate(sphere_sizes(rank, max_n)))
 
 
 def _reduced_words(rank: int, length: int) -> Iterator[Word]:
     """All reduced words of exactly the given length, DFS over last letters."""
+    # no counter calls this; it stays as the enumeration hook perfbench/tracer.py wraps
     if length == 0:
         yield ()
         return
@@ -109,83 +111,19 @@ def _reduced_words(rank: int, length: int) -> Iterator[Word]:
 
 
 def cyclically_reduced_counts(rank: int, max_n: int) -> list[int]:
-    """Exact count of cyclically reduced words of each length 1..max_n.
-
-    Transfer-matrix style recursion on (first letter, last letter) pairs,
-    cross-checked on small lengths by direct enumeration.
-    """
+    """Exact count of cyclically reduced words of each length 1..max_n:
+    (2k-1)^n + 1 + (k-1)(1 + (-1)^n) at rank k (Rivin)."""
     if rank < 1 or max_n < 1:
         raise ValueError("need rank >= 1 and max_n >= 1")
-    k2 = 2 * rank
-    # counts[first][last] = number of reduced words with these end letters
-    counts = [[1 if f == l else 0 for l in range(k2)] for f in range(k2)]
-    totals = []
-    for n in range(1, max_n + 1):
-        if n > 1:
-            nxt = [[0] * k2 for _ in range(k2)]
-            for f in range(k2):
-                row = counts[f]
-                for l in range(k2):
-                    v = row[l]
-                    if not v:
-                        continue
-                    for c in range(k2):
-                        if c != inverse_code(l):
-                            nxt[f][c] += v
-            counts = nxt
-        total = sum(
-            counts[f][l]
-            for f in range(k2)
-            for l in range(k2)
-            if n == 1 or l != inverse_code(f)
-        )
-        totals.append(total)
-        if total <= 2_000:
-            direct = sum(
-                1 for w in _reduced_words(rank, n) if is_cyclically_reduced(w)
-            )
-            if direct != total:
-                raise ConsistencyError(
-                    f"cyclically reduced count mismatch at n={n}: "
-                    f"recursion {total}, enumeration {direct}"
-                )
-    return totals
-
-
-def ball_counts(rank: int, max_n: int) -> list[int]:
-    """|B(0..max_n)|, with a direct enumeration cross-check while small."""
-    out = ball_sizes(rank, max_n)
-    for n, expected in enumerate(out):
-        if expected > _BALL_VERIFY_LIMIT:
-            break
-        seen = sum(1 for m in range(n + 1) for _ in _reduced_words(rank, m))
-        if seen != expected:
-            raise ConsistencyError(
-                f"ball count mismatch at n={n}: formula {expected}, enumeration {seen}"
-            )
-    return out
+    return [(2 * rank - 1) ** n + 1 + (rank - 1) * (1 + (-1) ** n)
+            for n in range(1, max_n + 1)]
 
 
 def conjugacy_sphere_counts(rank: int, max_n: int) -> list[int]:
     """Number of conjugacy classes whose shortest element has each length
-    0..max_n. Computed by necklace counting over cyclically reduced words
-    and, while cheap, re-derived by direct keying of the enumeration."""
+    0..max_n: necklaces (rotation classes) of cyclically reduced words."""
     strict = cyclically_reduced_counts(rank, max_n) if max_n >= 1 else []
-    by_necklace = [1] + cycrep_counts(strict)
-    for n in range(1, max_n + 1):
-        if strict[n - 1] > _DIRECT_CLASS_LIMIT:
-            break
-        keys = {
-            least_rotation(w)
-            for w in _reduced_words(rank, n)
-            if is_cyclically_reduced(w)
-        }
-        if len(keys) != by_necklace[n]:
-            raise ConsistencyError(
-                f"conjugacy class count mismatch at n={n}: "
-                f"necklaces {by_necklace[n]}, direct keys {len(keys)}"
-            )
-    return by_necklace
+    return [1] + cycrep_counts(strict)
 
 
 def conjugacy_ball_counts(rank: int, max_n: int) -> list[int]:

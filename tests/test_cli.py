@@ -7,6 +7,7 @@ determinism on top of that.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -155,6 +156,9 @@ class TestTruncation:
         lines = out.splitlines()
         assert lines[-1] == "#truncated,4"
         assert lines[-2].startswith("4,161,108,51,26,")
+        # a ball exactly the size of the budget still fits
+        monkeypatch.setenv("CONJRATIO_BUDGET", "161")
+        assert run_cli(["growth", "--family", "free", "--max-n", "8"]) == (code, out, err)
 
     def test_json_truncation_marker(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "200")
@@ -165,10 +169,11 @@ class TestTruncation:
         assert payload["columns"]["n"][-1] == 4
 
     def test_lamplighter_truncates(self, monkeypatch):
-        monkeypatch.setenv("CONJRATIO_BUDGET", "500")
-        code, out, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "12"])
-        assert code == 0
-        assert out.splitlines()[-1] == "#truncated,8"
+        for budget in ("500", "490"):  # ball(8) = 490
+            monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+            code, out, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "12"])
+            assert code == 0
+            assert out.splitlines()[-1] == "#truncated,8"
 
     def test_bfs_family_truncates(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "300")
@@ -269,8 +274,9 @@ class TestValidate:
         assert all(c["passed"] is True for c in payload["checks"])
 
     def test_failed_check_exits_1_in_both_formats(self, monkeypatch):
-        monkeypatch.setitem(cli._VALIDATORS, "free",
-                            lambda cfg: [("ok", 1, True), ("broken", 2, False)])
+        broken = dataclasses.replace(
+            cli.FAMILIES["free"], validate=lambda cfg: [("ok", 1, True), ("broken", 2, False)])
+        monkeypatch.setitem(cli.FAMILIES, "free", broken)
         code, out, _ = run_cli(["validate", "--family", "free", "--rank", "3"])
         assert code == 1
         assert out == "PASS  ok (radius 1)\nFAIL  broken (radius 2)\nSOME CHECKS FAILED\n"
@@ -284,6 +290,25 @@ class TestValidate:
             {"name": "broken", "radius": 2, "passed": False},
         ]
         assert payload["all_passed"] is False
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", list(cli.FAMILIES))
+    def test_every_family_runs_growth_and_answers_compare(self, family, p3_path):
+        graph = ["--graph", p3_path] if family == "raag" else []
+        code, out, _ = run_cli(["growth", "--family", family, "--max-n", "3",
+                                "--format", "json", *graph])
+        assert code == 0
+        expected = {"free": {"rank": 2}, "free-abelian": {"dim": 2}, "raag": {"graph": p3_path}}
+        assert json.loads(out)["parameters"] == expected.get(family, {})
+        # radius 4 gives the five terms the default window needs
+        code, out, err = run_cli(["compare", "--family", family, "--max-n", "4", *graph])
+        if cli.FAMILIES[family].compare is not None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err == ("error: compare supports families "
+                           f"('dihedral-inf', 'free', 'free-abelian'), got '{family}'\n")
 
 
 class TestNecklace:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conjratio import free_group as fg
 from conjratio import oracle
-from conjratio.errors import ConsistencyError
 from conjratio.words import inverse_code, parse_word, rotate
 
 rank2_letters = st.integers(min_value=0, max_value=3)
@@ -96,12 +95,13 @@ class TestCounts:
     def test_rank_three_sphere_two(self):
         assert fg.sphere_sizes(3, 2)[2] == 30
 
-    def test_spheres_match_direct_enumeration(self):
-        for rank, radius in ((2, 5), (3, 3)):
-            expected = [
-                sum(1 for _ in all_reduced_words(rank, n)) for n in range(radius + 1)
-            ]
-            assert fg.sphere_sizes(rank, radius) == expected
+    @pytest.mark.parametrize("rank,radius", [(1, 12), (2, 9), (3, 6)])
+    def test_spheres_match_direct_enumeration(self, rank, radius):
+        expected = [
+            sum(1 for _ in all_reduced_words(rank, n)) for n in range(radius + 1)
+        ]
+        assert fg.sphere_sizes(rank, radius) == expected
+        assert fg.ball_counts(rank, radius) == list(itertools.accumulate(expected))
 
     def test_balls_match_oracle_bfs(self):
         _, spheres = oracle.ball_enumerate(oracle.FreeGroup(2), 6)
@@ -128,13 +128,13 @@ class TestCyclicallyReducedCounts:
             4, 12, 28, 84, 244, 732, 2188, 6564,
         ]
 
-    def test_matches_filtered_enumeration(self):
-        for rank in (2, 3):
-            expected = [
-                sum(1 for w in all_reduced_words(rank, n) if fg.is_cyclically_reduced(w))
-                for n in range(1, 6)
-            ]
-            assert fg.cyclically_reduced_counts(rank, 5) == expected
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_filtered_enumeration(self, rank):
+        expected = [
+            sum(1 for w in all_reduced_words(rank, n) if fg.is_cyclically_reduced(w))
+            for n in range(1, 7)
+        ]
+        assert fg.cyclically_reduced_counts(rank, 6) == expected
 
 
 class TestConjKey:
@@ -224,7 +224,7 @@ class TestConjugacyCounts:
         ]
 
     def test_sphere_classes_equal_brute_rotation_classes(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             classes = {
                 fg.conj_key(w)
                 for w in all_reduced_words(2, n)

@@ -87,12 +87,14 @@ class TestCounts:
         assert ll.sphere_counts(9) == spheres
 
     def test_enumeration_matches_counts(self):
+        for max_n in range(13):
+            assert sum(1 for _ in ll.elements_by_length(max_n)) == ll.ball_counts(max_n)[-1]
         seen = {}
-        for x, n in ll.elements_by_length(9):
+        for x, n in ll.elements_by_length(12):
             assert ll.word_length(x) == n
             assert x not in seen
             seen[x] = n
-        for n in range(10):
+        for n in range(13):
             assert sum(1 for d in seen.values() if d == n) == self.SPHERES[n]
 
 

@@ -395,7 +395,7 @@ class TestCounts:
 
     def test_square_graph_series_is_a_product_of_free_groups(self):
         balls = list(itertools.accumulate(chiswell_spheres(C4, 40)))
-        assert balls == convolve(fg.ball_sizes(2, 40), fg.sphere_sizes(2, 40))
+        assert balls == convolve(fg.ball_counts(2, 40), fg.sphere_sizes(2, 40))
 
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetExceededError) as err:
