@@ -12,10 +12,7 @@ from .sequences import (
     check_ratio_vanishes,
     convolve,
     decimal_str,
-    growth_rate,
     ratio,
-    sequence_to_csv,
-    sequence_to_json,
     stolz_cesaro,
     window_estimate,
 )
@@ -51,13 +48,10 @@ __all__ = [
     "default_budget",
     "graph_from_file",
     "graph_from_text",
-    "growth_rate",
     "least_rotation",
     "parse_word",
     "primitive_counts",
     "ratio",
-    "sequence_to_csv",
-    "sequence_to_json",
     "stolz_cesaro",
     "window_estimate",
     "word_str",

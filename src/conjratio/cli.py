@@ -13,12 +13,13 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, count, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import free_group, lamplighter, oracle, raag
 from .errors import BudgetExceededError, default_budget
 from .raag import GraphFormatError
+# convolve and window_estimate are not called here; perfbench/tracer.py wraps these names
 from .sequences import convolve, decimal_str, window_estimate
 from .words import (
     ClosureHypothesisError,
@@ -81,24 +82,25 @@ class GrowthData:
         return len(self.ball) - 1
 
 
-def _differences(values: Sequence[int]) -> list[int]:
-    return [values[0]] + [b - a for a, b in zip(values, values[1:])]
+def _zd_spheres(dim: int) -> Iterator[int]:
+    """|S(0)|, |S(1)|, ... of Z^dim without end. The Z^(j+1) spheres are the
+    Z^j spheres convolved with Z's spheres 1, 2, 2, ..., one radius at a
+    time: S_(j+1)(n) = S_j(n) + 2 |B_j(n - 1)|, with Z^0 a point."""
+    below = [0] * dim  # below[j] = |B_j(n - 1)|
+    for n in count():
+        sphere = int(n == 0)
+        for j in range(dim):
+            sphere, below[j] = sphere + 2 * below[j], below[j] + sphere
+        yield sphere
 
 
-def _zd_ball_counts(dim: int, max_n: int) -> list[int]:
-    balls = [2 * n + 1 for n in range(max_n + 1)]
-    z_spheres = [1] + [2] * max_n
-    for _ in range(dim - 1):
-        balls = convolve(balls, z_spheres)
-    return balls
-
-
-def _charge_budget(balls: Sequence[int]) -> None:
-    """Stop before enumerating a ball larger than the element budget; the
-    error names the largest radius whose ball fits."""
+def _charge_budget(balls: Iterable[int]) -> None:
+    """Walk the balls by radius and stop at the first one over the element
+    budget, naming the radius before it, as the BFS's own error would."""
     budget = default_budget()
-    if balls[-1] > budget:
-        raise BudgetExceededError(max(n for n, b in enumerate(balls) if b <= budget), budget)
+    for n, ball in enumerate(balls):
+        if ball > budget:
+            raise BudgetExceededError(n - 1, budget)
 
 
 def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
@@ -115,8 +117,8 @@ def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
 
 
 def _free_abelian_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    balls = _zd_ball_counts(cfg.dim, max_n)
-    spheres = _differences(balls)
+    spheres = list(islice(_zd_spheres(cfg.dim), max_n + 1))
+    balls = list(accumulate(spheres))
     return GrowthData(balls, spheres, list(balls), list(spheres), truncated=False)
 
 
@@ -295,124 +297,114 @@ def run_necklace(path: str, fmt: str) -> str:
 # validation suites: (name, radius, passed) triples per family
 
 
-def _partitions_agree(dist: dict, key: Callable, class_of: dict) -> bool:
-    key_to_class: dict = {}
-    class_to_key: dict = {}
-    for x in dist:
-        k, c = key(x), class_of[x]
-        if key_to_class.setdefault(k, c) != c:
-            return False
-        if class_to_key.setdefault(c, k) != k:
-            return False
-    return True
+def _closure(cfg: RunConfig, group, n: int, default_slack: int,
+             closed_form: Optional[Iterable[int]] = None):
+    """The oracle's closure over B(n + slack): its table, and the sphere sizes
+    of B(n) read off the ball the closure enumerated. ``closed_form``, the
+    sphere sizes by radius, charges the budget before that enumeration."""
+    slack = default_slack if cfg.slack is None else cfg.slack
+    if closed_form is not None:
+        _charge_budget(accumulate(islice(closed_form, n + slack + 1)))
+    table = oracle.conjugacy_classes(group, n, slack=slack)
+    spheres = [0] * (n + 1)
+    for x in table.class_of:
+        spheres[table.dist[x]] += 1
+    return table, spheres
+
+
+def _partitions_agree(key: Callable, class_of: dict) -> bool:
+    """The (key, class) pairs are a bijection: no more of them than keys or classes."""
+    pairs = {(key(x), c) for x, c in class_of.items()}
+    return len(pairs) == len({k for k, _ in pairs}) == len(set(class_of.values()))
+
+
+def _oracle_rows(family: str, table: oracle.ConjugacyTable,
+                 key: Optional[Callable] = None) -> list[tuple[str, int, bool]]:
+    """The rows that close a suite: the class key's partition of B(n)
+    against the closure's, where the family has a key, then stability."""
+    rows = [] if key is None else [(f"{family}: key partition matches oracle partition",
+                                    table.radius, _partitions_agree(key, table.class_of))]
+    return rows + [(f"{family}: oracle stable under slack-1", table.radius,
+                    bool(table.stable))]
 
 
 def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 8)
-    slack = cfg.slack if cfg.slack is not None else 2
-    group = oracle.FreeGroup(cfg.rank)
-    table = oracle.conjugacy_classes(group, n, slack=slack)
-    checks = [
-        ("free: sphere formula vs BFS", n,
-         oracle.ball_enumerate(group, n)[1] == free_group.sphere_sizes(cfg.rank, n)),
-        ("free: conjugacy counts vs oracle", n,
-         list(table.ball_classes) == free_group.conjugacy_ball_counts(cfg.rank, n)),
-        ("free: oracle stable under slack-1", n, bool(table.stable)),
-    ]
+    table, spheres = _closure(cfg, oracle.FreeGroup(cfg.rank), n, 2,
+                              free_group.iter_sphere_sizes(cfg.rank))
     strict = free_group.cyclically_reduced_counts(cfg.rank, max(n, 6))
     necklaces = cycrep_counts(strict)
     identity_ok = all(
         m * necklaces[m - 1] == sum(euler_phi(m // d) * strict[d - 1] for d in divisors(m))
         for m in range(1, len(strict) + 1)
     )
-    checks.append(("free: necklace identity on cyclically reduced counts",
-                   len(strict), identity_ok))
-    return checks
+    return [
+        ("free: sphere formula vs BFS", n, spheres == free_group.sphere_sizes(cfg.rank, n)),
+        ("free: conjugacy counts vs oracle", n,
+         list(table.ball_classes) == free_group.conjugacy_ball_counts(cfg.rank, n)),
+        *_oracle_rows("free", table),
+        ("free: necklace identity on cyclically reduced counts", len(strict), identity_ok),
+    ]
 
 
 def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 5)
-    slack = cfg.slack if cfg.slack is not None else 2
     graph = cfg.graph()
     group = oracle.RaagGroup(graph)
     counts = raag.counts(graph, n)
-    table = oracle.conjugacy_classes(group, n, slack=slack)
-    dist, spheres = oracle.ball_enumerate(group, n)
+    table, spheres = _closure(cfg, group, n, 2)
     return [
         ("raag: ball counts vs oracle BFS", n,
          list(accumulate(spheres)) == list(counts.ball.values)),
         ("raag: conjugacy counts vs oracle", n,
          list(table.ball_classes) == list(counts.conj_ball.values)),
-        ("raag: key partition matches oracle partition", n,
-         _partitions_agree(dist, group.conjugacy_key, table.class_of)),
-        ("raag: oracle stable under slack-1", n, bool(table.stable)),
+        *_oracle_rows("raag", table, group.conjugacy_key),
     ]
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 7)
-    slack = cfg.slack if cfg.slack is not None else n
-    group = oracle.Lamplighter()
-    dist, spheres = oracle.ball_enumerate(group, n)
-    conj_sphere, conj_ball = lamplighter.conjugacy_counts(n)
-    table = oracle.conjugacy_classes(group, n, slack=slack)
+    table, spheres = _closure(cfg, oracle.Lamplighter(), n, max(n, 1))
     return [
         ("lamplighter: metric formula vs BFS distance", n,
-         all(lamplighter.word_length(x) == d for x, d in dist.items())),
+         all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)),
         ("lamplighter: sphere counts vs BFS", n,
          spheres == lamplighter.sphere_counts(n)),
         ("lamplighter: conjugacy counts vs oracle", n,
-         list(table.ball_classes) == conj_ball),
-        ("lamplighter: key partition matches oracle partition", n,
-         _partitions_agree(dist, lamplighter.conj_key, table.class_of)),
-        ("lamplighter: oracle stable under slack-1", n, bool(table.stable)),
+         list(table.ball_classes) == lamplighter.conjugacy_counts(n)[1]),
+        *_oracle_rows("lamplighter", table, lamplighter.conj_key),
     ]
 
 
 def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6 if cfg.dim <= 3 else 4)
-    slack = cfg.slack if cfg.slack is not None else 2
-    group = oracle.FreeAbelian(cfg.dim)
-    _, spheres = oracle.ball_enumerate(group, n)
-    table = oracle.conjugacy_classes(group, n, slack=slack)
-    balls = _zd_ball_counts(cfg.dim, n)
+    table, spheres = _closure(cfg, oracle.FreeAbelian(cfg.dim), n, 2, _zd_spheres(cfg.dim))
+    balls = list(accumulate(islice(_zd_spheres(cfg.dim), n + 1)))
     return [
         ("free-abelian: convolution balls vs oracle BFS", n,
          list(accumulate(spheres)) == balls),
         ("free-abelian: every element is its own class", n,
          list(table.ball_classes) == balls),
-        ("free-abelian: oracle stable under slack-1", n, bool(table.stable)),
+        *_oracle_rows("free-abelian", table),
     ]
 
 
 def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 16)
-    slack = cfg.slack if cfg.slack is not None else 4
-    group = oracle.DihedralInfinite()
-    dist, spheres = oracle.ball_enumerate(group, n)
-    table = oracle.conjugacy_classes(group, n, slack=slack)
+    table, spheres = _closure(cfg, oracle.DihedralInfinite(), n, 4)
     return [
         ("dihedral-inf: ball size 2n+1", n,
          list(accumulate(spheres)) == [2 * m + 1 for m in range(n + 1)]),
         ("dihedral-inf: class count 3 + n//2 from n=2", n,
          list(table.ball_classes[2:]) == [3 + m // 2 for m in range(2, n + 1)]),
-        ("dihedral-inf: key partition matches oracle partition", n,
-         _partitions_agree(dist, oracle.dihedral_conjugacy_key, table.class_of)),
-        ("dihedral-inf: oracle stable under slack-1", n, bool(table.stable)),
+        *_oracle_rows("dihedral-inf", table, oracle.dihedral_conjugacy_key),
     ]
 
 
 def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6)
-    slack = cfg.slack if cfg.slack is not None else n
-    group = oracle.Heisenberg()
-    dist, _ = oracle.ball_enumerate(group, n)
-    table = oracle.conjugacy_classes(group, n, slack=slack)
-    return [
-        ("heisenberg: key partition matches oracle partition", n,
-         _partitions_agree(dist, oracle.heisenberg_conjugacy_key, table.class_of)),
-        ("heisenberg: oracle stable under slack-1", n, bool(table.stable)),
-    ]
+    table, _ = _closure(cfg, oracle.Heisenberg(), n, max(n, 1))
+    return _oracle_rows("heisenberg", table, oracle.heisenberg_conjugacy_key)
 
 
 @dataclass(frozen=True)

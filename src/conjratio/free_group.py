@@ -13,7 +13,7 @@ enumeration cross-checks live in tests/test_free_group.py and in
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .words import cycrep_counts, inverse_code, least_rotation
@@ -72,18 +72,22 @@ def conj_key(word: Sequence[int]) -> Word:
     return least_rotation(cyclic_reduce(word))
 
 
+def iter_sphere_sizes(rank: int) -> Iterator[int]:
+    """|S(0)|, |S(1)|, ... without end: 1, then 2k(2k-1)^(n-1) at rank k."""
+    yield 1
+    size = 2 * rank
+    while True:
+        yield size
+        size *= 2 * rank - 1
+
+
 def sphere_sizes(rank: int, max_n: int) -> list[int]:
-    """|S(0..max_n)| for the free group of the given rank: 2k(2k-1)^(n-1)."""
+    """|S(0..max_n)| for the free group of the given rank."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    out = [1]
-    if max_n >= 1:
-        out.append(2 * rank)
-    for _ in range(2, max_n + 1):
-        out.append(out[-1] * (2 * rank - 1))
-    return out
+    return list(islice(iter_sphere_sizes(rank), max_n + 1))
 
 
 def ball_counts(rank: int, max_n: int) -> list[int]:

@@ -269,7 +269,8 @@ class UnionFind:
 
 @dataclass
 class ConjugacyTable:
-    """Conjugation-closure census of the classes meeting B(radius)."""
+    """Conjugation-closure census of the classes meeting B(radius). ``dist``
+    is the padded ball the closure ran over, in BFS order."""
 
     radius: int
     slack: int
@@ -278,6 +279,7 @@ class ConjugacyTable:
     min_lengths: tuple[int, ...]
     stable: Optional[bool]
     class_of: dict
+    dist: dict
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
@@ -351,6 +353,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
         min_lengths=tuple(mins),
         stable=stable,
         class_of=class_of,
+        dist=dist,
     )
 
 

@@ -7,7 +7,6 @@ only appear in fitted slopes, never in the counts themselves.
 from __future__ import annotations
 
 import decimal
-import json
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,10 +45,6 @@ class CountSequence:
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
-
-    @property
-    def max_radius(self) -> int:
-        return len(self.values) - 1
 
     def to_spheres(self) -> "CountSequence":
         if self.kind not in ("ball", "conjugacy-ball"):
@@ -135,29 +130,6 @@ def window_estimate(values: Sequence[Fraction], window: int = 5) -> WindowEstima
     xs = list(range(window))
     slope, _ = statistics.linear_regression(xs, [float(v) for v in tail])
     return WindowEstimate(peak=peak, slope=slope, window=window)
-
-
-@dataclass(frozen=True)
-class GrowthRateEstimate:
-    """n-th roots values[n] ** (1/n) for n >= 1, with the final root also
-    reported exactly when it is an exact integer root."""
-
-    roots: tuple[float, ...]
-    exact_final: Optional[int]
-
-
-def growth_rate(values: Sequence[int]) -> GrowthRateEstimate:
-    if len(values) < 2:
-        raise ValueError("need counts up to radius 1 at least")
-    roots = []
-    for n in range(1, len(values)):
-        if values[n] < 1:
-            raise ValueError(f"count at radius {n} must be positive")
-        roots.append(values[n] ** (1.0 / n))
-    n = len(values) - 1
-    candidate = round(roots[-1])
-    exact = candidate if candidate >= 1 and candidate**n == values[n] else None
-    return GrowthRateEstimate(roots=tuple(roots), exact_final=exact)
 
 
 @dataclass(frozen=True)
@@ -298,18 +270,3 @@ def decimal_str(value: Fraction, digits: int = 12) -> str:
         d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
         quantum = decimal.Decimal(1).scaleb(-digits)
         return format(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN), "f")
-
-
-def _rendered(value) -> object:
-    return decimal_str(value) if isinstance(value, Fraction) else value
-
-
-def sequence_to_csv(values: Sequence) -> str:
-    """One ``n,value`` row per entry; fractions rendered as 12-digit decimals."""
-    lines = ["n,value"]
-    lines.extend(f"{n},{_rendered(v)}" for n, v in enumerate(values))
-    return "\n".join(lines) + "\n"
-
-
-def sequence_to_json(values: Sequence) -> str:
-    return json.dumps([_rendered(v) for v in values])

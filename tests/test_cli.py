@@ -10,10 +10,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 
-from conjratio import cli
+from conjratio import cli, oracle
 from conjratio.cli import RunConfig
 
 
@@ -181,6 +182,35 @@ class TestTruncation:
         assert code == 0
         assert out.splitlines()[-1] == "#truncated,5"
 
+    @pytest.mark.parametrize("argv,budget,completed", [
+        (["--family", "free", "--rank", "100", "--max-n", "1"], "5000000", 2),
+        (["--family", "free-abelian", "--dim", "1000", "--max-n", "4"], "200000", 1),
+    ])
+    @pytest.mark.parametrize("slack", [[], ["--slack", "1000000"]])
+    def test_validate_charges_the_budget_before_enumerating(self, monkeypatch, argv, budget,
+                                                            completed, slack):
+        # the padded balls have millions of elements; the closed forms stop at once
+        monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+        start = time.perf_counter()
+        code, out, err = run_cli(["validate", *argv, *slack])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == f"error: element budget {budget} exceeded; completed radius {completed}\n"
+
+    @pytest.mark.parametrize("argv,outer,ball", [
+        (["--family", "free", "--max-n", "1"], 3, 53),
+        (["--family", "free", "--rank", "1", "--max-n", "4"], 6, 13),
+        (["--family", "free-abelian", "--dim", "3", "--max-n", "2"], 4, 129),
+        (["--family", "free-abelian", "--dim", "1", "--max-n", "3"], 5, 11),
+    ])
+    def test_validate_padded_ball_exactly_at_budget_fits(self, monkeypatch, argv, outer, ball):
+        # outer = max-n + the default slack 2; ball = |B(outer)|
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(ball))
+        assert run_cli(["validate", *argv])[0] == 0
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(ball - 1))
+        assert run_cli(["validate", *argv]) == (
+            2, "", f"error: element budget {ball - 1} exceeded; completed radius {outer - 1}\n")
+
     def test_bad_budget_value_is_an_error(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "soon")
         code, _, err = run_cli(["growth", "--family", "free", "--max-n", "3"])
@@ -238,6 +268,9 @@ class TestValidate:
         ("lamplighter", 7),
         ("dihedral-inf", 12),
         ("heisenberg", 5),
+        # the default slack is at least 1, so the stability row has a census to compare
+        ("lamplighter", 0),
+        ("heisenberg", 0),
     ])
     def test_family_suites_pass(self, family, max_n):
         code, out, _ = run_cli(["validate", "--family", family, "--max-n", str(max_n)])
@@ -256,6 +289,12 @@ class TestValidate:
         _, out, _ = run_cli(["validate", "--family", "lamplighter", "--max-n", "7"])
         assert "PASS  lamplighter: metric formula vs BFS distance (radius 7)" in out
         assert "PASS  lamplighter: key partition matches oracle partition (radius 7)" in out
+
+    def test_key_partition_check_rejects_coarser_and_finer_keys(self):
+        table = oracle.conjugacy_classes(oracle.DihedralInfinite(), 4, slack=4)
+        assert cli._partitions_agree(oracle.dihedral_conjugacy_key, table.class_of)
+        assert not cli._partitions_agree(lambda x: 0, table.class_of)  # merges classes
+        assert not cli._partitions_agree(lambda x: x, table.class_of)  # splits classes
 
     def test_json_report_lists_the_text_checks(self):
         argv = ["validate", "--family", "dihedral-inf", "--max-n", "20"]

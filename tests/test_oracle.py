@@ -82,6 +82,7 @@ def reference_closure(group, max_n, slack):
         min_lengths=tuple(mins),
         stable=stable,
         class_of=class_of,
+        dist=dist,
     )
 
 
@@ -270,6 +271,9 @@ class TestConjugacyClasses:
         expected = reference_closure(group, max_n, slack)
         assert table == expected
         assert list(table.class_of.items()) == list(expected.class_of.items())
+        # cut to B(max_n), the padded ball is the BFS of B(max_n), in the same order
+        ball = [(x, d) for x, d in table.dist.items() if d <= max_n]
+        assert ball == list(ball_enumerate(group, max_n)[0].items())
 
     @pytest.mark.parametrize("max_n,slack,stable,ball_classes", [
         (1, 0, None, (1, 4)),

@@ -1,6 +1,5 @@
-"""Exact sequence utilities: ratios, transforms, estimates, serialization."""
+"""Exact sequence utilities: ratios, transforms, estimates, rendering."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -15,10 +14,7 @@ from conjratio.sequences import (
     check_ratio_vanishes,
     convolve,
     decimal_str,
-    growth_rate,
     ratio,
-    sequence_to_csv,
-    sequence_to_json,
     stolz_cesaro,
     window_estimate,
 )
@@ -53,7 +49,7 @@ class TestCountSequence:
         with pytest.raises(ValueError):
             CountSequence((1, 3, 2), "conjugacy-ball")  # decreasing
         seq = CountSequence((1, 3, 5), "ball")
-        assert seq.max_radius == 2 and seq[1] == 3 and len(seq) == 3
+        assert seq[1] == 3 and len(seq) == 3
 
     @given(ball_values)
     def test_sphere_ball_roundtrip(self, incs):
@@ -192,34 +188,6 @@ class TestWindowEstimate:
             window_estimate([Fraction(1)] * 3, window=5)
 
 
-class TestGrowthRate:
-    def test_geometric_sequence_is_exact(self):
-        est = growth_rate([1, 3, 9, 27])
-        assert est.exact_final == 3
-        assert est.roots[-1] == pytest.approx(3.0)
-
-    def test_free_group_rate_approaches_odd_valence(self):
-        # |B(n)| = 2*3^n - 1 > 3^n, so the n-th roots sit above 3 and
-        # decrease toward it: root(n) = 3 * (2 - 3^-n)^(1/n)
-        est = growth_rate(free_group.ball_counts(2, 12))
-        assert 3.0 < est.roots[-1] < 3.2
-        assert est.roots[-1] == pytest.approx((2 * 3**12 - 1) ** (1 / 12))
-        assert all(b < a for a, b in zip(est.roots, est.roots[1:]))
-        assert est.exact_final is None
-
-    def test_linear_growth_drifts_to_one(self):
-        est = growth_rate([2 * n + 1 for n in range(31)])
-        assert est.roots[-1] == pytest.approx(61 ** (1 / 30))
-        assert est.roots[-1] < 1.15
-        assert all(b < a for a, b in zip(est.roots[2:], est.roots[3:]))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            growth_rate([1])
-        with pytest.raises(ValueError):
-            growth_rate([1, 0])
-
-
 class TestCheckRatioVanishes:
     def test_increment_synthetic_example(self):
         n = 21
@@ -289,11 +257,3 @@ class TestRendering:
         assert decimal_str(Fraction(15, 10**13)) == "0.000000000002"
         assert decimal_str(Fraction(25, 10**13)) == "0.000000000002"
 
-    def test_sequence_to_csv(self):
-        assert sequence_to_csv([1, 3, 5]) == "n,value\n0,1\n1,3\n2,5\n"
-        text = sequence_to_csv([Fraction(1, 2)])
-        assert text == "n,value\n0,0.500000000000\n"
-
-    def test_sequence_to_json(self):
-        assert json.loads(sequence_to_json([1, 2])) == [1, 2]
-        assert json.loads(sequence_to_json([Fraction(1, 4)])) == ["0.250000000000"]
