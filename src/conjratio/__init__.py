@@ -18,7 +18,6 @@ from .sequences import (
 )
 from .words import (
     ClosureHypothesisError,
-    Letter,
     cycrep_counts,
     least_rotation,
     parse_word,
@@ -36,7 +35,6 @@ __all__ = [
     "CountSequence",
     "GraphFormatError",
     "GraphSpec",
-    "Letter",
     "Raag",
     "RatioSequence",
     "VanishingReport",

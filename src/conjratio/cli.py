@@ -299,17 +299,12 @@ def run_necklace(path: str, fmt: str) -> str:
 
 def _closure(cfg: RunConfig, group, n: int, default_slack: int,
              closed_form: Optional[Iterable[int]] = None):
-    """The oracle's closure over B(n + slack): its table, and the sphere sizes
-    of B(n) read off the ball the closure enumerated. ``closed_form``, the
-    sphere sizes by radius, charges the budget before that enumeration."""
+    """The oracle's closure over B(n + slack). ``closed_form``, the sphere
+    sizes by radius, charges the budget before the closure's enumeration."""
     slack = default_slack if cfg.slack is None else cfg.slack
     if closed_form is not None:
         _charge_budget(accumulate(islice(closed_form, n + slack + 1)))
-    table = oracle.conjugacy_classes(group, n, slack=slack)
-    spheres = [0] * (n + 1)
-    for x in table.class_of:
-        spheres[table.dist[x]] += 1
-    return table, spheres
+    return oracle.conjugacy_classes(group, n, slack=slack)
 
 
 def _partitions_agree(key: Callable, class_of: dict) -> bool:
@@ -330,8 +325,8 @@ def _oracle_rows(family: str, table: oracle.ConjugacyTable,
 
 def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 8)
-    table, spheres = _closure(cfg, oracle.FreeGroup(cfg.rank), n, 2,
-                              free_group.iter_sphere_sizes(cfg.rank))
+    table = _closure(cfg, oracle.FreeGroup(cfg.rank), n, 2,
+                     free_group.iter_sphere_sizes(cfg.rank))
     strict = free_group.cyclically_reduced_counts(cfg.rank, max(n, 6))
     necklaces = cycrep_counts(strict)
     identity_ok = all(
@@ -339,7 +334,8 @@ def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
         for m in range(1, len(strict) + 1)
     )
     return [
-        ("free: sphere formula vs BFS", n, spheres == free_group.sphere_sizes(cfg.rank, n)),
+        ("free: sphere formula vs BFS", n,
+         list(table.spheres) == free_group.sphere_sizes(cfg.rank, n)),
         ("free: conjugacy counts vs oracle", n,
          list(table.ball_classes) == free_group.conjugacy_ball_counts(cfg.rank, n)),
         *_oracle_rows("free", table),
@@ -350,26 +346,26 @@ def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 5)
     graph = cfg.graph()
-    group = oracle.RaagGroup(graph)
     counts = raag.counts(graph, n)
-    table, spheres = _closure(cfg, group, n, 2)
+    table = _closure(cfg, oracle.RaagGroup(graph), n, 2)
     return [
         ("raag: ball counts vs oracle BFS", n,
-         list(accumulate(spheres)) == list(counts.ball.values)),
+         list(accumulate(table.spheres)) == list(counts.ball.values)),
         ("raag: conjugacy counts vs oracle", n,
          list(table.ball_classes) == list(counts.conj_ball.values)),
-        *_oracle_rows("raag", table, group.conjugacy_key),
+        *_oracle_rows("raag", table, raag.Raag(graph).element_key),
     ]
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 7)
-    table, spheres = _closure(cfg, oracle.Lamplighter(), n, max(n, 1))
+    table = _closure(cfg, oracle.Lamplighter(), n, max(n, 1),
+                     (lamplighter.sphere_counts(m)[m] for m in count()))
     return [
         ("lamplighter: metric formula vs BFS distance", n,
          all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)),
         ("lamplighter: sphere counts vs BFS", n,
-         spheres == lamplighter.sphere_counts(n)),
+         list(table.spheres) == lamplighter.sphere_counts(n)),
         ("lamplighter: conjugacy counts vs oracle", n,
          list(table.ball_classes) == lamplighter.conjugacy_counts(n)[1]),
         *_oracle_rows("lamplighter", table, lamplighter.conj_key),
@@ -378,11 +374,11 @@ def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6 if cfg.dim <= 3 else 4)
-    table, spheres = _closure(cfg, oracle.FreeAbelian(cfg.dim), n, 2, _zd_spheres(cfg.dim))
+    table = _closure(cfg, oracle.FreeAbelian(cfg.dim), n, 2, _zd_spheres(cfg.dim))
     balls = list(accumulate(islice(_zd_spheres(cfg.dim), n + 1)))
     return [
         ("free-abelian: convolution balls vs oracle BFS", n,
-         list(accumulate(spheres)) == balls),
+         list(accumulate(table.spheres)) == balls),
         ("free-abelian: every element is its own class", n,
          list(table.ball_classes) == balls),
         *_oracle_rows("free-abelian", table),
@@ -391,10 +387,10 @@ def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 16)
-    table, spheres = _closure(cfg, oracle.DihedralInfinite(), n, 4)
+    table = _closure(cfg, oracle.DihedralInfinite(), n, 4)
     return [
         ("dihedral-inf: ball size 2n+1", n,
-         list(accumulate(spheres)) == [2 * m + 1 for m in range(n + 1)]),
+         list(accumulate(table.spheres)) == [2 * m + 1 for m in range(n + 1)]),
         ("dihedral-inf: class count 3 + n//2 from n=2", n,
          list(table.ball_classes[2:]) == [3 + m // 2 for m in range(2, n + 1)]),
         *_oracle_rows("dihedral-inf", table, oracle.dihedral_conjugacy_key),
@@ -403,7 +399,7 @@ def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6)
-    table, _ = _closure(cfg, oracle.Heisenberg(), n, max(n, 1))
+    table = _closure(cfg, oracle.Heisenberg(), n, max(n, 1))
     return _oracle_rows("heisenberg", table, oracle.heisenberg_conjugacy_key)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
+from .sequences import min_length_census
 from .words import least_rotation
 
 
@@ -134,13 +135,4 @@ def conj_key(x: LampElement):
 def conjugacy_counts(max_n: int) -> tuple[list[int], list[int]]:
     """(per-radius class counts, cumulative class counts): classes grouped
     by the length of their shortest representative."""
-    shortest: dict[tuple, int] = {}
-    for elt, length in elements_by_length(max_n):
-        key = conj_key(elt)
-        old = shortest.get(key)
-        if old is None or length < old:
-            shortest[key] = length
-    spheres = [0] * (max_n + 1)
-    for length in shortest.values():
-        spheres[length] += 1
-    return spheres, list(itertools.accumulate(spheres))
+    return min_length_census(elements_by_length(max_n), conj_key, max_n)

@@ -1,8 +1,9 @@
 """Generic brute-force engine over concrete groups.
 
 Any object with ``identity``, ``generators`` (closed under inversion),
-``multiply`` and ``invert`` over hashable canonical elements can be
-ball-enumerated by BFS and conjugacy-classified by conjugation closure.
+``multiply`` and ``invert`` over hashable canonical elements, such as a
+``Group`` record, can be ball-enumerated by BFS and conjugacy-classified by
+conjugation closure.
 The closure is union-find over a padded ball B(N + slack), uniting u with
 s^-1 u s whenever both sides were enumerated. One generator s from each
 inverse pair suffices: if y = s^-1 u s then u = s y s^-1, so conjugating
@@ -23,10 +24,10 @@ involutions) and the integer Heisenberg group (Mal'cev coordinates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from . import free_group
 from . import lamplighter as lamp
@@ -36,117 +37,83 @@ from .sequences import (
     CountSequence,
     RatioSequence,
     WindowEstimate,
+    min_length_census,
     ratio,
     window_estimate,
 )
 
 
-class GroupSpec(Protocol):
-    @property
-    def identity(self): ...
+@dataclass(frozen=True)
+class Group:
+    """A group with a finite generating set, closed under inversion, over
+    hashable canonical elements."""
 
-    @property
-    def generators(self) -> tuple: ...
-
-    def multiply(self, x, y): ...
-
-    def invert(self, x): ...
+    identity: Any
+    generators: tuple
+    multiply: Callable[[Any, Any], Any]
+    invert: Callable[[Any], Any]
 
 
 class GenerationError(RuntimeError):
     """A claimed generating set failed to reach part of the group."""
 
 
-def _close_under_inversion(group_invert, generators, identity):
+def with_generators(group: Group, generators: Iterable) -> Group:
+    """The same group carried by another generating set: the given elements
+    and their inverses, in that order, without repeats or the identity."""
     gens = list(generators)
-    gens += [group_invert(g) for g in gens]
-    return tuple(g for g in dict.fromkeys(gens) if g != identity)
+    gens += [group.invert(g) for g in gens]
+    closed = tuple(g for g in dict.fromkeys(gens) if g != group.identity)
+    if not closed:
+        raise ValueError("empty generating set")
+    return replace(group, generators=closed)
 
 
-class FreeGroup:
+def FreeGroup(rank: int) -> Group:
     """Free group of finite rank over reduced letter-code words."""
-
-    def __init__(self, rank: int, words: Optional[Iterable[Sequence[int]]] = None):
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        self.rank = rank
-        self.identity: tuple[int, ...] = ()
-        if words is None:
-            gens = [(c,) for c in range(2 * rank)]
-        else:
-            gens = []
-            for w in words:
-                word = free_group.reduce_word(w)
-                if any(c >= 2 * rank for c in word):
-                    raise ValueError(f"letter out of range for rank {rank}: {w!r}")
-                gens.append(word)
-        self.generators = _close_under_inversion(free_group.invert, gens, self.identity)
-
-    def multiply(self, x, y):
-        return free_group.multiply(x, y)
-
-    def invert(self, x):
-        return free_group.invert(x)
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+    gens = tuple((c,) for c in range(2 * rank))
+    return Group((), gens, free_group.multiply, free_group.invert)
 
 
-class FreeAbelian:
-    """Z^dim over integer vectors; optional custom generating vectors."""
-
-    def __init__(self, dim: int, vectors: Optional[Iterable[Sequence[int]]] = None):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        self.dim = dim
-        self.identity = (0,) * dim
-        if vectors is None:
-            gens = []
-            for i in range(dim):
-                unit = [0] * dim
-                unit[i] = 1
-                gens.append(tuple(unit))
-        else:
-            gens = [tuple(v) for v in vectors]
-            if any(len(v) != dim for v in gens):
-                raise ValueError(f"vectors must have length {dim}")
-        self.generators = _close_under_inversion(self.invert, gens, self.identity)
-
-    def multiply(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def invert(self, x):
-        return tuple(-a for a in x)
+def FreeAbelian(dim: int) -> Group:
+    """Z^dim over integer vectors, generated by the unit vectors."""
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return Group((0,) * dim, units + tuple(_negate(u) for u in units), _add, _negate)
 
 
-class DihedralInfinite:
+def _add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _negate(x):
+    return tuple(-a for a in x)
+
+
+def DihedralInfinite() -> Group:
     """Infinite dihedral group: free product of two involutions a, b.
 
     Elements are alternating 0/1 tuples (the unique normal forms);
     multiplication cancels equal letters across the seam.
     """
+    return Group((), ((0,), (1,)), _dihedral_multiply, _reverse)
 
-    GENERATING_SETS = ("reflections", "reflection-rotation")
 
-    def __init__(self, generating_set: str = "reflections"):
-        self.identity: tuple[int, ...] = ()
-        if generating_set == "reflections":
-            gens = [(0,), (1,)]
-        elif generating_set == "reflection-rotation":
-            gens = [(0,), (0, 1)]
+def _dihedral_multiply(x, y):
+    out = list(x)
+    for t in y:
+        if out and out[-1] == t:
+            out.pop()
         else:
-            raise ValueError(f"generating_set must be one of {self.GENERATING_SETS}")
-        self.generating_set = generating_set
-        self.generators = _close_under_inversion(self.invert, gens, self.identity)
+            out.append(t)
+    return tuple(out)
 
-    def multiply(self, x, y):
-        out = list(x)
-        for t in y:
-            if out and out[-1] == t:
-                out.pop()
-            else:
-                out.append(t)
-        return tuple(out)
 
-    def invert(self, x):
-        return tuple(reversed(x))
+def _reverse(x):
+    return tuple(reversed(x))
 
 
 def dihedral_conjugacy_key(x: tuple[int, ...]):
@@ -159,18 +126,18 @@ def dihedral_conjugacy_key(x: tuple[int, ...]):
     return ("reflection", (len(x) // 2 + x[0]) % 2)
 
 
-class Heisenberg:
+def Heisenberg() -> Group:
     """Integer Heisenberg group in Mal'cev coordinates (a, b, c)."""
+    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    return Group((0, 0, 0), gens, _heisenberg_multiply, _heisenberg_invert)
 
-    def __init__(self):
-        self.identity = (0, 0, 0)
-        self.generators = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
-    def multiply(self, x, y):
-        return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
+def _heisenberg_multiply(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
 
-    def invert(self, x):
-        return (-x[0], -x[1], -x[2] + x[0] * x[1])
+
+def _heisenberg_invert(x):
+    return (-x[0], -x[1], -x[2] + x[0] * x[1])
 
 
 def heisenberg_conjugacy_key(x: tuple[int, int, int]):
@@ -182,34 +149,14 @@ def heisenberg_conjugacy_key(x: tuple[int, int, int]):
     return ("generic", a, b, c % math.gcd(a, b))
 
 
-class RaagGroup:
-    """Pile-element adapter for a right-angled Artin group."""
-
-    def __init__(self, graph: GraphSpec):
-        self.raag = Raag(graph)
-        self.identity = self.raag.identity()
-        self.generators = self.raag.generators()
-
-    def multiply(self, x, y):
-        return self.raag.multiply(x, y)
-
-    def invert(self, x):
-        return self.raag.invert(x)
-
-    def conjugacy_key(self, piles):
-        return self.raag.element_key(piles)
+def RaagGroup(graph: GraphSpec) -> Group:
+    """Right-angled Artin group over pile elements."""
+    artin = Raag(graph)
+    return Group(artin.identity(), artin.generators(), artin.multiply, artin.invert)
 
 
-class Lamplighter:
-    def __init__(self):
-        self.identity = lamp.IDENTITY
-        self.generators = lamp.generators()
-
-    def multiply(self, x, y):
-        return lamp.multiply(x, y)
-
-    def invert(self, x):
-        return lamp.invert(x)
+def Lamplighter() -> Group:
+    return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert)
 
 
 def ball_enumerate(group, max_n: int, budget: Optional[int] = None):
@@ -270,13 +217,14 @@ class UnionFind:
 @dataclass
 class ConjugacyTable:
     """Conjugation-closure census of the classes meeting B(radius). ``dist``
-    is the padded ball the closure ran over, in BFS order."""
+    is the padded ball the closure ran over, in BFS order; ``spheres`` are
+    the element sphere sizes of B(radius)."""
 
     radius: int
     slack: int
     ball_classes: tuple[int, ...]
     sphere_classes: tuple[int, ...]
-    min_lengths: tuple[int, ...]
+    spheres: tuple[int, ...]
     stable: Optional[bool]
     class_of: dict
     dist: dict
@@ -292,7 +240,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     outer = max_n + slack
-    dist, _ = ball_enumerate(group, outer, budget)
+    dist, spheres = ball_enumerate(group, outer, budget)
     # One conjugator per inverse pair: if y = s^-1 x s then x = s y s^-1,
     # so conjugating by s^-1 yields only edges that s already yields.
     halves: dict = {}
@@ -350,7 +298,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
         slack=slack,
         ball_classes=tuple(ball_classes),
         sphere_classes=tuple(sphere_classes),
-        min_lengths=tuple(mins),
+        spheres=tuple(spheres[:max_n + 1]),
         stable=stable,
         class_of=class_of,
         dist=dist,
@@ -358,53 +306,27 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
 
 
 def key_class_counts(dist: dict, key: Callable, max_n: int):
-    """(per-radius, cumulative) class counts from an exact conjugacy key."""
-    min_len: dict = {}
-    for x, d in dist.items():
-        kx = key(x)
-        old = min_len.get(kx)
-        if old is None or d < old:
-            min_len[kx] = d
-    spheres = [0] * (max_n + 1)
-    for m in min_len.values():
-        if m <= max_n:
-            spheres[m] += 1
-    return spheres, list(accumulate(spheres))
+    """(per-radius, cumulative) class counts of B(max_n) from an exact
+    conjugacy key."""
+    return min_length_census(dist.items(), key, max_n)
 
 
-class _GeneratorView:
-    """The same group carried by a different generating set."""
-
-    def __init__(self, base, generators):
-        self.base = base
-        self.identity = base.identity
-        self.generators = _close_under_inversion(base.invert, generators, base.identity)
-        if not self.generators:
-            raise ValueError("empty generating set")
-
-    def multiply(self, x, y):
-        return self.base.multiply(x, y)
-
-    def invert(self, x):
-        return self.base.invert(x)
-
-
-def _check_generates(target_view, other_view, probe_radius: int = 2,
+def _check_generates(target, other, probe_radius: int = 2,
                      cap: int = 12, budget: Optional[int] = None) -> None:
     """Every element of the target's small ball must appear in some ball of
     the other set; BFS expands one radius at a time up to ``cap``."""
-    targets = set(ball_enumerate(target_view, probe_radius, budget)[0])
+    targets = set(ball_enumerate(target, probe_radius, budget)[0])
     limit = default_budget() if budget is None else budget
-    seen = {other_view.identity}
-    frontier = [other_view.identity]
+    seen = {other.identity}
+    frontier = [other.identity]
     targets -= seen
     for _ in range(cap):
         if not targets:
             return
         nxt = []
         for x in frontier:
-            for s in other_view.generators:
-                y = other_view.multiply(x, s)
+            for s in other.generators:
+                y = other.multiply(x, s)
                 if y not in seen:
                     if len(seen) >= limit:
                         raise GenerationError(
@@ -445,24 +367,24 @@ def generating_set_comparison(group, gens_x, gens_y, max_n: int,
     invariant) classes are counted directly; otherwise by union-find with
     the given slack.
     """
-    view_x = _GeneratorView(group, gens_x)
-    view_y = _GeneratorView(group, gens_y)
-    _check_generates(view_x, view_y, budget=budget)
-    _check_generates(view_y, view_x, budget=budget)
+    group_x = with_generators(group, gens_x)
+    group_y = with_generators(group, gens_y)
+    _check_generates(group_x, group_y, budget=budget)
+    _check_generates(group_y, group_x, budget=budget)
 
-    def one_side(view) -> tuple[RatioSequence, WindowEstimate]:
-        dist, spheres = ball_enumerate(view, max_n, budget)
+    def one_side(carried: Group) -> tuple[RatioSequence, WindowEstimate]:
         if key is not None:
+            dist, spheres = ball_enumerate(carried, max_n, budget)
             _, conj_balls = key_class_counts(dist, key, max_n)
         else:
-            table = conjugacy_classes(view, max_n, slack=slack, budget=budget)
-            conj_balls = list(table.ball_classes)
+            table = conjugacy_classes(carried, max_n, slack=slack, budget=budget)
+            spheres, conj_balls = table.spheres, table.ball_classes
         ratios = ratio(
             CountSequence(tuple(conj_balls), "conjugacy-ball"),
             CountSequence(tuple(accumulate(spheres)), "ball"),
         )
         return ratios, window_estimate(ratios.values, window)
 
-    ratios_x, estimate_x = one_side(view_x)
-    ratios_y, estimate_y = one_side(view_y)
+    ratios_x, estimate_x = one_side(group_x)
+    ratios_y, estimate_y = one_side(group_y)
     return ComparisonReport(ratios_x, ratios_y, estimate_x, estimate_y)

@@ -303,10 +303,6 @@ class Raag:
             blocked |= blocks[c >> 1]
         return True
 
-    def is_cyclically_reduced(self, word: Sequence[int]) -> bool:
-        nf = self.normal_form(word)
-        return len(nf) == len(word) and self._cyclically_reduced(nf)
-
     def _complement_components(self, support: frozenset[int]) -> list[frozenset[int]]:
         """Components of the complement of the induced commutation subgraph
         (vertices joined when they do NOT commute)."""
@@ -328,14 +324,6 @@ class Raag:
 
     def _support_edge_free(self, support) -> bool:
         return all(v not in self.adjacent[u] for u in support for v in support)
-
-    def classify_split(self, word: Sequence[int]) -> str:
-        """'split' when the complement of the support subgraph is
-        disconnected (the element factors into >= 2 commuting blocks)."""
-        if not self.is_cyclically_reduced(word):
-            raise ValueError("classify_split needs a cyclically reduced word")
-        comps = self._complement_components(frozenset(c >> 1 for c in word))
-        return "split" if len(comps) >= 2 else "non-split"
 
     def _shortlex(self, word: Sequence[int]) -> tuple[int, ...]:
         """Normal form of a geodesic word, built by inserting its letters
@@ -506,10 +494,6 @@ def is_cyclic_normal_form(word: Sequence[int], graph: GraphSpec) -> bool:
     return all(
         group.normal_form(rotate(w, r)) == rotate(w, r) for r in range(max(len(w), 1))
     )
-
-
-def classify_split(word: Sequence[int], graph: GraphSpec) -> str:
-    return _raag(graph).classify_split(word)
 
 
 def conj_key(word: Sequence[int], graph: GraphSpec):

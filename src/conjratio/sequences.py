@@ -11,7 +11,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 KINDS = ("ball", "sphere", "conjugacy-ball", "conjugacy-sphere")
 
@@ -107,6 +107,23 @@ def convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
         raise ValueError(f"length mismatch: {len(left)} vs {len(right)}")
     n = len(left)
     return [sum(left[i] * right[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def min_length_census(pairs: Iterable[tuple[Hashable, int]], key: Callable,
+                      max_n: int) -> tuple[list[int], list[int]]:
+    """(per-radius, cumulative) class counts from (element, length) pairs and
+    an exact conjugacy key: each class counts at its least length."""
+    min_len: dict = {}
+    for x, d in pairs:
+        kx = key(x)
+        old = min_len.get(kx)
+        if old is None or d < old:
+            min_len[kx] = d
+    spheres = [0] * (max_n + 1)
+    for m in min_len.values():
+        if m <= max_n:
+            spheres[m] += 1
+    return spheres, list(accumulate(spheres))
 
 
 @dataclass(frozen=True)

@@ -9,29 +9,9 @@ sequence of mutually comparable items, which lets the same code canonise
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 Item = TypeVar("Item")
-
-
-class Letter(NamedTuple):
-    index: int
-    sign: int
-
-    def inverse(self) -> "Letter":
-        return Letter(self.index, -self.sign)
-
-
-def encode(letter: Letter) -> int:
-    if letter.sign not in (1, -1) or letter.index < 0:
-        raise ValueError(f"bad letter {letter!r}")
-    return 2 * letter.index + (1 if letter.sign < 0 else 0)
-
-
-def decode(code: int) -> Letter:
-    if code < 0:
-        raise ValueError(f"bad letter code {code}")
-    return Letter(code >> 1, -1 if code & 1 else 1)
 
 
 def inverse_code(code: int) -> int:

@@ -162,7 +162,7 @@ def test_criterion_3_raag_suite():
         dist, _ = oracle.ball_enumerate(group, 5)
         pair_ok[name] = (
             bool(table.stable)
-            and _partitions_agree(dist, group.conjugacy_key, table.class_of)
+            and _partitions_agree(dist, raag.Raag(graph).element_key, table.class_of)
         )
     abelian_ok = True
     for name in ("edge-2", "triangle"):

@@ -185,6 +185,7 @@ class TestTruncation:
     @pytest.mark.parametrize("argv,budget,completed", [
         (["--family", "free", "--rank", "100", "--max-n", "1"], "5000000", 2),
         (["--family", "free-abelian", "--dim", "1000", "--max-n", "4"], "200000", 1),
+        (["--family", "lamplighter", "--max-n", "7", "--slack", "30"], "500000", 21),
     ])
     @pytest.mark.parametrize("slack", [[], ["--slack", "1000000"]])
     def test_validate_charges_the_budget_before_enumerating(self, monkeypatch, argv, budget,

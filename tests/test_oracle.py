@@ -20,13 +20,13 @@ from conjratio.oracle import (
     Lamplighter,
     RaagGroup,
     UnionFind,
-    _GeneratorView,
     ball_enumerate,
     conjugacy_classes,
     dihedral_conjugacy_key,
     generating_set_comparison,
     heisenberg_conjugacy_key,
     key_class_counts,
+    with_generators,
 )
 
 triples = st.tuples(
@@ -73,13 +73,13 @@ def reference_closure(group, max_n, slack):
     for x in dist:
         if dist[x] <= max_n:
             class_of[x] = roots.setdefault(uf.find(x), len(roots))
-    spheres = [mins.count(n) for n in range(max_n + 1)]
+    class_spheres = [mins.count(n) for n in range(max_n + 1)]
     return ConjugacyTable(
         radius=max_n,
         slack=slack,
-        ball_classes=tuple(balls_from(spheres)),
-        sphere_classes=tuple(spheres),
-        min_lengths=tuple(mins),
+        ball_classes=tuple(balls_from(class_spheres)),
+        sphere_classes=tuple(class_spheres),
+        spheres=tuple(list(dist.values()).count(n) for n in range(max_n + 1)),
         stable=stable,
         class_of=class_of,
         dist=dist,
@@ -109,7 +109,7 @@ class TestAdapters:
             FreeGroup(2),
             FreeAbelian(3),
             DihedralInfinite(),
-            DihedralInfinite("reflection-rotation"),
+            with_generators(DihedralInfinite(), [(0,), (0, 1)]),
             Heisenberg(),
             RaagGroup(raag.path_graph(3)),
             Lamplighter(),
@@ -127,9 +127,30 @@ class TestAdapters:
                 right = group.multiply(s, group.multiply(t, s))
                 assert left == right
 
-    def test_dihedral_rejects_unknown_generating_set(self):
-        with pytest.raises(ValueError):
-            DihedralInfinite("rotations")
+    @pytest.mark.parametrize("group,generators", [
+        (FreeGroup(2), ((0,), (1,), (2,), (3,))),
+        (FreeAbelian(2), ((1, 0), (0, 1), (-1, 0), (0, -1))),
+        (DihedralInfinite(), ((0,), (1,))),
+        (Heisenberg(), ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))),
+        # a, A, b, B, c, C on the path a - b - c: a and c leave markers in each other's piles
+        (RaagGroup(raag.path_graph(3)), (((1,), (), (0,)), ((-1,), (), (0,)),
+                                         ((), (1,), ()), ((), (-1,), ()),
+                                         ((0,), (), (1,)), ((0,), (), (-1,)))),
+        (Lamplighter(), (ll.TOGGLE, ll.STEP, ll.element((), -1))),
+    ])
+    def test_constructors_list_generators_in_order(self, group, generators):
+        # BFS order, ConjugacyTable.dist and the class_of numbering follow this order
+        assert group.generators == generators
+
+    def test_with_generators_closes_the_set_and_keeps_the_group(self):
+        base = DihedralInfinite()
+        carried = with_generators(base, [(0,), (), (0, 1), (0,)])
+        assert carried.generators == ((0,), (0, 1), (1, 0))
+        assert (carried.identity, carried.multiply, carried.invert) == (
+            base.identity, base.multiply, base.invert)
+        assert base.generators == ((0,), (1,))
+        with pytest.raises(ValueError, match="empty generating set"):
+            with_generators(base, [()])
 
     @given(triples, triples, triples)
     def test_heisenberg_associative(self, x, y, z):
@@ -215,11 +236,9 @@ class TestConjugacyClasses:
         assert list(table.sphere_classes) == fg.conjugacy_sphere_counts(2, 4)
         assert table.stable is True
 
-    def test_min_lengths_mirror_sphere_counts(self):
+    def test_spheres_match_the_closed_form(self):
         table = conjugacy_classes(FreeGroup(2), 4, slack=2)
-        assert len(table.min_lengths) == table.ball_classes[-1]
-        for n in range(5):
-            assert table.min_lengths.count(n) == table.sphere_classes[n]
+        assert list(table.spheres) == fg.sphere_sizes(2, 4)
 
     def test_default_slack_is_the_radius(self):
         table = conjugacy_classes(DihedralInfinite(), 4)
@@ -255,13 +274,13 @@ class TestConjugacyClasses:
         pytest.param(FreeGroup(2), 4, id="free2"),
         pytest.param(FreeAbelian(2), 4, id="z2"),
         pytest.param(DihedralInfinite(), 6, id="dihedral-reflections"),
-        pytest.param(DihedralInfinite("reflection-rotation"), 5,
+        pytest.param(with_generators(DihedralInfinite(), [(0,), (0, 1)]), 5,
                      id="dihedral-reflection-rotation"),
         pytest.param(Heisenberg(), 4, id="heisenberg"),
         pytest.param(Lamplighter(), 4, id="lamplighter"),
         pytest.param(RaagGroup(raag.path_graph(3)), 3, id="raag-p3"),
         pytest.param(RaagGroup(raag.empty_graph(2)), 3, id="raag-empty2"),
-        pytest.param(_GeneratorView(FreeGroup(2), [(0,), (2,), (0, 2)]), 2,
+        pytest.param(with_generators(FreeGroup(2), [(0,), (2,), (0, 2)]), 2,
                      id="free2-view"),
         pytest.param(SymmetricGroup4(), 2, id="s4"),
     ])
@@ -373,7 +392,7 @@ class TestGeneratingSetComparison:
 
     def test_dihedral_two_sets_agree(self):
         g = DihedralInfinite()
-        other = DihedralInfinite("reflection-rotation")
+        other = with_generators(g, [(0,), (0, 1)])
         report = generating_set_comparison(
             g, g.generators, other.generators, 40, slack=2,
             key=dihedral_conjugacy_key,
@@ -394,6 +413,19 @@ class TestGeneratingSetComparison:
         )
         for ratios in (report.ratios_x.values, report.ratios_y.values):
             assert all(b < a for a, b in zip(ratios[2:], ratios[3:]))
+
+    def test_keyless_comparison_enumerates_each_side_once(self, monkeypatch):
+        radii = []
+
+        def recording(group, max_n, budget=None):
+            radii.append(max_n)
+            return ball_enumerate(group, max_n, budget)
+
+        monkeypatch.setattr(oracle, "ball_enumerate", recording)
+        generating_set_comparison(DihedralInfinite(), [(0,), (1,)], [(0,), (0, 1)], 20,
+                                  slack=4)
+        # the two generation probes at radius 2, then one padded BFS per side
+        assert radii == [2, 2, 24, 24]
 
     def test_non_generating_set_is_rejected(self):
         g = FreeAbelian(1)

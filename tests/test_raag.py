@@ -262,22 +262,6 @@ class TestCyclicNormalForm:
                 assert (w + w) in cyclic
 
 
-class TestClassifySplit:
-    def test_examples(self):
-        assert raag.classify_split(parse_word("ab"), EDGE2) == "split"
-        assert raag.classify_split(parse_word("ab"), EMPTY2) == "non-split"
-        assert raag.classify_split(parse_word("ac"), C4) == "non-split"
-
-    def test_requires_cyclically_reduced_input(self):
-        with pytest.raises(ValueError):
-            raag.classify_split(parse_word("abA"), P3)
-
-    def test_central_letter_of_path_splits(self):
-        # b commutes with everything it meets, so ab factors as {a} x {b}
-        assert raag.classify_split(parse_word("ab"), P3) == "split"
-        assert raag.classify_split(parse_word("ac"), P3) == "non-split"
-
-
 class TestConjKey:
     def test_rotation_pair_on_free_graph(self):
         assert raag.conj_key(parse_word("ab"), EMPTY2) == raag.conj_key(

@@ -5,17 +5,36 @@ the fast suite; the tracer's own tests live outside it."""
 import importlib.util
 from pathlib import Path
 
-from conjratio import cli, oracle
+from conjratio import cli, oracle, raag
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_finds_every_name_it_wraps_and_puts_them_back():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_finds_every_name_it_wraps_and_puts_them_back():
+    tracer = load_tracer()
     originals = (cli.main, oracle.conjugacy_classes)
     hooks = tracer.Instrumentation(tracer.Tracer())
     assert (cli.main, oracle.conjugacy_classes) != originals
     hooks.remove()
     assert (cli.main, oracle.conjugacy_classes) == originals
+
+
+def test_groups_built_under_the_tracer_call_its_wrappers():
+    # the constructors must look the operations up when called, not at import
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    hooks = tracer.Instrumentation(recorder)
+    try:
+        for group in (oracle.FreeGroup(2), oracle.RaagGroup(raag.path_graph(3))):
+            oracle.conjugacy_classes(group, 2, slack=1)
+    finally:
+        hooks.remove()
+    assert recorder.counts.get("free_group.multiply.calls", 0) > 0
+    assert recorder.calls.get("raag.multiply", 0) > 0

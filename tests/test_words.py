@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from conjratio import words
 from conjratio.words import (
     ClosureHypothesisError,
-    Letter,
     cycrep_counts,
-    decode,
     divisors,
-    encode,
     euler_phi,
     inverse_code,
     is_primitive,
@@ -38,29 +35,12 @@ def brute_least_rotation(w, key=None):
 
 
 class TestLetters:
-    def test_inverse_is_involution(self):
-        a = Letter(0, 1)
-        assert a.inverse() == Letter(0, -1)
-        assert a.inverse().inverse() == a
-
-    @given(st.integers(0, 25), st.sampled_from([1, -1]))
-    def test_encode_decode_roundtrip(self, index, sign):
-        letter = Letter(index, sign)
-        assert decode(encode(letter)) == letter
-        assert inverse_code(encode(letter)) == encode(letter.inverse())
-
     def test_encoding_realises_letter_order(self):
         # a < a^-1 < b < b^-1 < ...
-        a, a_inv, b = Letter(0, 1), Letter(0, -1), Letter(1, 1)
-        assert encode(a) < encode(a_inv) < encode(b)
+        assert parse_word("a") < parse_word("A") < parse_word("b")
 
-    def test_encode_rejects_bad_letters(self):
-        with pytest.raises(ValueError):
-            encode(Letter(0, 0))
-        with pytest.raises(ValueError):
-            encode(Letter(-1, 1))
-        with pytest.raises(ValueError):
-            decode(-1)
+    def test_inverse_code_pairs_a_letter_with_its_inverse(self):
+        assert tuple(inverse_code(c) for c in parse_word("aAbBz")) == parse_word("AaBbZ")
 
 
 class TestParsing:
