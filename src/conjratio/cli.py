@@ -134,10 +134,18 @@ def _raag_growth(cfg: RunConfig, max_n: int) -> GrowthData:
 
 
 def _lamplighter_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    balls = lamplighter.ball_counts(max_n)
-    _charge_budget(balls)
+    # The window sum is O(n^4): charge the budget at doubling radii, so the
+    # table is never summed past twice the first radius over the budget.
+    radius = min(1, max_n)
+    while True:
+        spheres = lamplighter.sphere_counts(radius)
+        balls = list(accumulate(spheres))
+        _charge_budget(balls)
+        if radius == max_n:
+            break
+        radius = min(2 * radius, max_n)
     conj_sphere, conj_ball = lamplighter.conjugacy_counts(max_n)
-    return GrowthData(balls, lamplighter.sphere_counts(max_n), conj_ball, conj_sphere, False)
+    return GrowthData(balls, spheres, conj_ball, conj_sphere, False)
 
 
 def _keyed_oracle_growth(group, key: Callable, max_n: int) -> GrowthData:

@@ -4,19 +4,19 @@ An element is a finite set of lit lamp positions plus the final cursor
 position. Generators: toggle the lamp under the cursor, move the cursor
 one step either way. Word length has a closed form (light every lamp,
 walk a shortest route covering them, end on the cursor), which makes
-exact sphere counts a small combinatorial sum; the enumerator yields the
-actual elements for conjugacy-class keying.
+exact sphere counts a small combinatorial sum. Conjugacy classes by
+least length have a closed form too: span binomials for classes with the
+cursor at 0, binary necklaces for the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from typing import Iterator
 
-from .sequences import min_length_census
-from .words import least_rotation
+from .words import divisors, euler_phi, least_rotation
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,31 @@ def conj_key(x: LampElement):
     return ("moving", x.cursor, least_rotation(bits))
 
 
+def _necklaces(length: int, ones: int) -> int:
+    """Binary necklaces of the given length with the given number of ones."""
+    return sum(euler_phi(d) * comb(length // d, ones // d)
+               for d in divisors(gcd(length, ones))) // length
+
+
 def conjugacy_counts(max_n: int) -> tuple[list[int], list[int]]:
     """(per-radius class counts, cumulative class counts): classes grouped
-    by the length of their shortest representative."""
-    return min_length_census(elements_by_length(max_n), conj_key, max_n)
+    by the length of their shortest representative.
+
+    Cursor 0 (``conj_key``'s static classes): one lamp has length 1; k >= 2
+    lamps spanning w >= 1 steps, both ends lit, have length k + 2w, and
+    there are C(w - 1, k - 2) such sets up to translation. Cursor +-M: the
+    class is a necklace of M lamp parities with k lit, and its shortest
+    element walks M steps lighting one lamp per lit residue, length M + k.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    spheres = [1] + [0] * max_n
+    if max_n >= 1:
+        spheres[1] += 1
+    for w in range(1, max_n // 2):
+        for k in range(2, min(w + 1, max_n - 2 * w) + 1):
+            spheres[k + 2 * w] += comb(w - 1, k - 2)
+    for m in range(1, max_n + 1):
+        for k in range(min(m, max_n - m) + 1):
+            spheres[m + k] += 2 * _necklaces(m, k)
+    return spheres, list(itertools.accumulate(spheres))

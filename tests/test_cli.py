@@ -176,6 +176,17 @@ class TestTruncation:
             assert code == 0
             assert out.splitlines()[-1] == "#truncated,8"
 
+    def test_lamplighter_far_past_the_budget_stops_at_once(self, monkeypatch):
+        # the default budget stops at 26: ball(26) = 4,271,663, ball(27) = 6,933,430;
+        # the O(n^4) sphere sum at n = 2000 would not finish
+        monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli(["growth", "--family", "lamplighter", "--max-n", "2000"])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        _, table, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "26"])
+        assert out == table + "#truncated,26\n"
+
     def test_bfs_family_truncates(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "300")
         code, out, _ = run_cli(["growth", "--family", "heisenberg", "--max-n", "9"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conjratio import lamplighter as ll
 from conjratio import oracle
+from conjratio.sequences import min_length_census
 
 lamp_sets = st.frozensets(st.integers(-4, 4), max_size=5)
 cursors = st.integers(-4, 4)
@@ -148,6 +149,21 @@ class TestConjugacyCounts:
         assert spheres == self.CONJ_SPHERES
         assert balls == [sum(spheres[: n + 1]) for n in range(15)]
         assert balls[14] == 447
+
+    def test_smallest_radii(self):
+        assert ll.conjugacy_counts(0) == ([1], [1])
+        assert ll.conjugacy_counts(1) == ([1, 3], [1, 4])
+
+    def test_closed_form_matches_enumeration(self):
+        # one census of B(20) holds the class counts of every smaller radius
+        spheres, balls = min_length_census(ll.elements_by_length(20), ll.conj_key, 20)
+        for n in range(21):
+            assert ll.conjugacy_counts(n) == (spheres[: n + 1], balls[: n + 1])
+
+    def test_smaller_radii_are_prefixes(self):
+        spheres, balls = ll.conjugacy_counts(60)
+        for n in range(61):
+            assert ll.conjugacy_counts(n) == (spheres[: n + 1], balls[: n + 1])
 
     def test_matches_oracle_counts(self):
         table = oracle.conjugacy_classes(oracle.Lamplighter(), 6, slack=6)
