@@ -94,18 +94,19 @@ def _zd_spheres(dim: int) -> Iterator[int]:
         yield sphere
 
 
-def _charge_budget(balls: Iterable[int]) -> None:
-    """Walk the balls by radius and stop at the first one over the element
-    budget, naming the radius before it, as the BFS's own error would."""
+def _charge_budget(spheres: Iterable[int], max_n: int) -> None:
+    """Sum the sphere sizes lazily into |B(0..max_n)| and stop at the first
+    ball over the element budget, naming the radius before it, as the BFS's
+    own error would."""
     budget = default_budget()
-    for n, ball in enumerate(balls):
+    for n, ball in enumerate(accumulate(islice(spheres, max_n + 1))):
         if ball > budget:
             raise BudgetExceededError(n - 1, budget)
 
 
 def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
+    _charge_budget(free_group.iter_sphere_sizes(cfg.rank), max_n)
     balls = free_group.ball_counts(cfg.rank, max_n)
-    _charge_budget(balls)
     conj_sphere = free_group.conjugacy_sphere_counts(cfg.rank, max_n)
     return GrowthData(
         ball=balls,
@@ -117,6 +118,7 @@ def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
 
 
 def _free_abelian_growth(cfg: RunConfig, max_n: int) -> GrowthData:
+    _charge_budget(_zd_spheres(cfg.dim), max_n)
     spheres = list(islice(_zd_spheres(cfg.dim), max_n + 1))
     balls = list(accumulate(spheres))
     return GrowthData(balls, spheres, list(balls), list(spheres), truncated=False)
@@ -139,13 +141,12 @@ def _lamplighter_growth(cfg: RunConfig, max_n: int) -> GrowthData:
     radius = min(1, max_n)
     while True:
         spheres = lamplighter.sphere_counts(radius)
-        balls = list(accumulate(spheres))
-        _charge_budget(balls)
+        _charge_budget(spheres, radius)
         if radius == max_n:
             break
         radius = min(2 * radius, max_n)
     conj_sphere, conj_ball = lamplighter.conjugacy_counts(max_n)
-    return GrowthData(balls, spheres, conj_ball, conj_sphere, False)
+    return GrowthData(list(accumulate(spheres)), spheres, conj_ball, conj_sphere, False)
 
 
 def _keyed_oracle_growth(group, key: Callable, max_n: int) -> GrowthData:
@@ -311,7 +312,7 @@ def _closure(cfg: RunConfig, group, n: int, default_slack: int,
     sizes by radius, charges the budget before the closure's enumeration."""
     slack = default_slack if cfg.slack is None else cfg.slack
     if closed_form is not None:
-        _charge_budget(accumulate(islice(closed_form, n + slack + 1)))
+        _charge_budget(closed_form, n + slack)
     return oracle.conjugacy_classes(group, n, slack=slack)
 
 

@@ -93,10 +93,6 @@ def sphere_counts(max_n: int) -> list[int]:
     return counts
 
 
-def ball_counts(max_n: int) -> list[int]:
-    return list(itertools.accumulate(sphere_counts(max_n)))
-
-
 def elements_by_length(max_n: int) -> Iterator[tuple[LampElement, int]]:
     """Every element of length <= max_n, exactly once, with its length."""
     for m, p, q, base in _windows(max_n):

@@ -159,9 +159,9 @@ def Lamplighter() -> Group:
     return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert)
 
 
-def ball_enumerate(group, max_n: int, budget: Optional[int] = None):
+def ball_enumerate(group, max_n: int):
     """BFS out to radius max_n: (distances by element, sphere sizes)."""
-    limit = default_budget() if budget is None else budget
+    limit = default_budget()
     gens = group.generators
     gen_set = set(gens)
     for s in gens:
@@ -230,8 +230,7 @@ class ConjugacyTable:
     dist: dict
 
 
-def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
-                      budget: Optional[int] = None) -> ConjugacyTable:
+def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
     """Union-find over B(max_n + slack); classes counted by the smallest
     radius they meet. ``stable`` reports whether shrinking the padding by
     one changes any count (None when slack = 0)."""
@@ -240,7 +239,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None,
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     outer = max_n + slack
-    dist, spheres = ball_enumerate(group, outer, budget)
+    dist, spheres = ball_enumerate(group, outer)
     # One conjugator per inverse pair: if y = s^-1 x s then x = s y s^-1,
     # so conjugating by s^-1 yields only edges that s already yields.
     halves: dict = {}
@@ -311,12 +310,11 @@ def key_class_counts(dist: dict, key: Callable, max_n: int):
     return min_length_census(dist.items(), key, max_n)
 
 
-def _check_generates(target, other, probe_radius: int = 2,
-                     cap: int = 12, budget: Optional[int] = None) -> None:
+def _check_generates(target, other, probe_radius: int = 2, cap: int = 12) -> None:
     """Every element of the target's small ball must appear in some ball of
     the other set; BFS expands one radius at a time up to ``cap``."""
-    targets = set(ball_enumerate(target, probe_radius, budget)[0])
-    limit = default_budget() if budget is None else budget
+    targets = set(ball_enumerate(target, probe_radius)[0])
+    limit = default_budget()
     seen = {other.identity}
     frontier = [other.identity]
     targets -= seen
@@ -359,8 +357,7 @@ class ComparisonReport:
 
 def generating_set_comparison(group, gens_x, gens_y, max_n: int,
                               slack: Optional[int] = None, window: int = 5,
-                              key: Optional[Callable] = None,
-                              budget: Optional[int] = None) -> ComparisonReport:
+                              key: Optional[Callable] = None) -> ComparisonReport:
     """Side-by-side C(n)/B(n) under two word metrics on the same group.
 
     With an exact ``key`` (a generating-set-independent conjugacy
@@ -369,15 +366,15 @@ def generating_set_comparison(group, gens_x, gens_y, max_n: int,
     """
     group_x = with_generators(group, gens_x)
     group_y = with_generators(group, gens_y)
-    _check_generates(group_x, group_y, budget=budget)
-    _check_generates(group_y, group_x, budget=budget)
+    _check_generates(group_x, group_y)
+    _check_generates(group_y, group_x)
 
     def one_side(carried: Group) -> tuple[RatioSequence, WindowEstimate]:
         if key is not None:
-            dist, spheres = ball_enumerate(carried, max_n, budget)
+            dist, spheres = ball_enumerate(carried, max_n)
             _, conj_balls = key_class_counts(dist, key, max_n)
         else:
-            table = conjugacy_classes(carried, max_n, slack=slack, budget=budget)
+            table = conjugacy_classes(carried, max_n, slack=slack)
             spheres, conj_balls = table.spheres, table.ball_classes
         ratios = ratio(
             CountSequence(tuple(conj_balls), "conjugacy-ball"),

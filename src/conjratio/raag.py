@@ -7,11 +7,12 @@ by appending a letter. A backward scan passes the letters the new one
 commutes with and stops at the first it cannot pass; the word is kept
 unless that letter is the new one's inverse (the word would shorten) or a
 passed letter is greater (the new letter would move left of it).
-``counts`` opens one class per cyclically reduced normal form not yet seen;
-such words have the least length in their class, and two of them are
-conjugate exactly when moving letters that can reach the front to the end
-connects them. Sets of generators are bitmasks, so each scan costs one
-mask test per letter.
+``counts`` opens one class per cyclically reduced normal form not yet seen
+and marks its ``cyclic_class`` seen: such words have the least length in
+their class, and two of them are conjugate exactly when moving letters that
+can reach the front to the end connects them. Sets of generators are
+bitmasks, so each scan costs one mask test per letter. The counter computes
+no class key: the split/non-split keys of ``conj_key`` back ``validate``.
 
 The oracle route (``element``, ``word``, ``multiply``, ``invert``,
 ``cyclic_reduce``) stores an element as "piles", one stack per generator:
@@ -188,10 +189,7 @@ class Raag:
             raise ValueError(f"letter index {i} out of range for {self.k} generators")
         own = piles[i]
         if own and own[-1] == -s:
-            own.pop()
-            for j in self.noncommuting[i]:
-                if piles[j].pop() != 0:
-                    raise ConsistencyError("pile invariant broken: expected a trailing marker")
+            self._pop(piles, i, -1)
         else:
             own.append(s)
             for j in self.noncommuting[i]:
@@ -207,19 +205,14 @@ class Raag:
                 out.append(2 * i + (0 if p[0] > 0 else 1))
         return out
 
-    def _pop_front(self, piles: list[list[int]], gen: int) -> None:
-        if piles[gen].pop(0) == 0:
+    def _pop(self, piles: list[list[int]], gen: int, end: int) -> None:
+        """Remove one letter of generator gen from the given end (0 front,
+        -1 back), with the marker it left on each noncommuting pile."""
+        if piles[gen].pop(end) == 0:
             raise ConsistencyError("pile invariant broken: popped a marker as a letter")
         for j in self.noncommuting[gen]:
-            if piles[j].pop(0) != 0:
-                raise ConsistencyError("pile invariant broken: expected a leading marker")
-
-    def _pop_back(self, piles: list[list[int]], gen: int) -> None:
-        if piles[gen].pop() == 0:
-            raise ConsistencyError("pile invariant broken: popped a marker as a letter")
-        for j in self.noncommuting[gen]:
-            if piles[j].pop() != 0:
-                raise ConsistencyError("pile invariant broken: expected a trailing marker")
+            if piles[j].pop(end) != 0:
+                raise ConsistencyError("pile invariant broken: expected a marker at the end")
 
     # element interface
 
@@ -238,7 +231,7 @@ class Raag:
             if not fronts:
                 break
             code = fronts[0]
-            self._pop_front(work, code >> 1)
+            self._pop(work, code >> 1, 0)
             out.append(code)
         if any(work):
             raise ConsistencyError("markers left behind after extracting every letter")
@@ -284,8 +277,8 @@ class Raag:
             gen = self._peelable(work)
             if gen is None:
                 return self._freeze(work)
-            self._pop_front(work, gen)
-            self._pop_back(work, gen)
+            self._pop(work, gen, 0)
+            self._pop(work, gen, -1)
 
     def _cyclically_reduced(self, word: tuple[int, ...]) -> bool:
         """For a normal form: no generator has a letter that can move to the
@@ -387,8 +380,7 @@ class Raag:
 
     # enumeration
 
-    def elements(self, max_n: int, budget: Optional[int] = None
-                 ) -> Iterator[tuple[tuple[int, ...], int]]:
+    def elements(self, max_n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every normal form of length <= max_n exactly once, sphere by
         sphere; yields (normal form, word length).
 
@@ -397,7 +389,7 @@ class Raag:
         a backward scan over w, passing letters that c commutes past, stops
         at c's inverse (w c is shorter) or meets a letter greater than c
         (c would move left of it)."""
-        limit = default_budget() if budget is None else budget
+        limit = default_budget()
         blocks = self._blocks
         codes = range(2 * self.k)
         total = 1
@@ -426,43 +418,21 @@ class Raag:
                     yield u, dist
             sphere = nxt
 
-    def counts(self, max_n: int, budget: Optional[int] = None) -> RaagCounts:
-        """Exact ball/sphere/conjugacy counts: each class is opened at the
-        first cyclically reduced normal form met, which has the least
-        length in its class."""
+    def counts(self, max_n: int) -> RaagCounts:
+        """Exact ball/sphere/conjugacy counts. A class is opened at the
+        first cyclically reduced normal form met, which has the least length
+        in its class, and its whole ``cyclic_class`` is marked seen."""
         sphere = [0] * (max_n + 1)
-        class_of: dict[tuple[int, ...], int] = {}
-        class_len: list[int] = []
-        class_support: list[frozenset[int]] = []
-        key_of_class: dict = {}
-        for w, dist in self.elements(max_n, budget):
-            sphere[dist] += 1
-            if w in class_of or not self._cyclically_reduced(w):
-                continue
-            supp = frozenset(c >> 1 for c in w)
-            if self._support_edge_free(supp):
-                members = {rotate(w, r) for r in range(max(len(w), 1))}
-            else:
-                members = self.cyclic_class(w)
-            class_id = len(class_len)
-            for member in members:
-                if member in class_of:
-                    raise ConsistencyError("conjugacy closures overlap without agreeing")
-                class_of[member] = class_id
-            class_len.append(len(w))
-            class_support.append(supp)
-            key = self._key_of_reduced(w)
-            if key in key_of_class:
-                raise ConsistencyError(
-                    "conjugacy key collides across closure-distinct classes"
-                )
-            key_of_class[key] = class_id
         conj_sphere = [0] * (max_n + 1)
-        for length in class_len:
-            conj_sphere[length] += 1
         support_classes: dict[tuple[str, ...], int] = {}
-        for supp in class_support:
-            labels = tuple(self.graph.labels[i] for i in sorted(supp))
+        seen: set[tuple[int, ...]] = set()
+        for w, dist in self.elements(max_n):
+            sphere[dist] += 1
+            if w in seen or not self._cyclically_reduced(w):
+                continue
+            seen |= self.cyclic_class(w)
+            conj_sphere[dist] += 1
+            labels = tuple(self.graph.labels[i] for i in sorted({c >> 1 for c in w}))
             support_classes[labels] = support_classes.get(labels, 0) + 1
         return RaagCounts(
             ball=CountSequence(tuple(accumulate(sphere)), "ball"),
@@ -500,5 +470,5 @@ def conj_key(word: Sequence[int], graph: GraphSpec):
     return _raag(graph).conj_key(word)
 
 
-def counts(graph: GraphSpec, max_n: int, budget: Optional[int] = None) -> RaagCounts:
-    return _raag(graph).counts(max_n, budget)
+def counts(graph: GraphSpec, max_n: int) -> RaagCounts:
+    return _raag(graph).counts(max_n)

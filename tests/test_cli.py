@@ -161,6 +161,19 @@ class TestTruncation:
         monkeypatch.setenv("CONJRATIO_BUDGET", "161")
         assert run_cli(["growth", "--family", "free", "--max-n", "8"]) == (code, out, err)
 
+    @pytest.mark.parametrize("dim,n,ball", [(3, 5, 231), (1, 5, 11)])
+    def test_free_abelian_budget_boundary(self, monkeypatch, dim, n, ball):
+        argv = ["growth", "--family", "free-abelian", "--dim", str(dim), "--max-n"]
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(ball))
+        code, table, err = run_cli(argv + [str(n)])
+        assert (code, err) == (0, "")
+        assert rows(table)[-1][:2] == [str(n), str(ball)]
+        assert run_cli(argv + [str(n + 1)]) == (0, table + f"#truncated,{n}\n", "")
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(ball - 1))
+        _, out, _ = run_cli(argv + [str(n)])
+        assert out.splitlines()[-1] == f"#truncated,{n - 1}"
+        assert rows(out)[-2][0] == str(n - 1)
+
     def test_json_truncation_marker(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "200")
         _, out, _ = run_cli(["growth", "--family", "free", "--max-n", "8",
@@ -176,16 +189,25 @@ class TestTruncation:
             assert code == 0
             assert out.splitlines()[-1] == "#truncated,8"
 
-    def test_lamplighter_far_past_the_budget_stops_at_once(self, monkeypatch):
-        # the default budget stops at 26: ball(26) = 4,271,663, ball(27) = 6,933,430;
-        # the O(n^4) sphere sum at n = 2000 would not finish
+    @pytest.mark.parametrize("argv,max_n,completed", [
+        # ball(26) = 4,271,663, ball(27) = 6,933,430; the O(n^4) sphere sum
+        # at n = 2000 would not finish
+        (["--family", "lamplighter"], "2000", 26),
+        # ball(13) = 3,188,645, ball(14) = 9,565,937; the ball list to
+        # n = 10^6 would exhaust memory
+        (["--family", "free"], "1000000", 13),
+        # ball(1580) = 4,995,961 and ball(154) = 4,917,529
+        (["--family", "free-abelian", "--dim", "2"], "1000000000", 1580),
+        (["--family", "free-abelian", "--dim", "3"], "1000000000", 154),
+    ], ids=["lamplighter", "free", "Z2", "Z3"])
+    def test_far_past_the_budget_stops_at_once(self, monkeypatch, argv, max_n, completed):
         monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
         start = time.perf_counter()
-        code, out, err = run_cli(["growth", "--family", "lamplighter", "--max-n", "2000"])
+        code, out, err = run_cli(["growth", *argv, "--max-n", max_n])
         assert time.perf_counter() - start < 2
         assert (code, err) == (0, "")
-        _, table, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "26"])
-        assert out == table + "#truncated,26\n"
+        _, table, _ = run_cli(["growth", *argv, "--max-n", str(completed)])
+        assert out == table + f"#truncated,{completed}\n"
 
     def test_bfs_family_truncates(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "300")

@@ -186,9 +186,10 @@ class TestBallEnumerate:
         for n in range(7):
             assert sum(1 for d in dist.values() if d == n) == spheres[n]
 
-    def test_budget_reports_completed_radius(self):
+    def test_budget_reports_completed_radius(self, monkeypatch):
+        monkeypatch.setenv("CONJRATIO_BUDGET", "100")
         with pytest.raises(BudgetExceededError) as err:
-            ball_enumerate(FreeGroup(2), 8, budget=100)
+            ball_enumerate(FreeGroup(2), 8)
         # B(3) = 53 <= 100 < B(4) = 161
         assert err.value.completed == 3
         assert err.value.budget == 100
@@ -417,9 +418,9 @@ class TestGeneratingSetComparison:
     def test_keyless_comparison_enumerates_each_side_once(self, monkeypatch):
         radii = []
 
-        def recording(group, max_n, budget=None):
+        def recording(group, max_n):
             radii.append(max_n)
-            return ball_enumerate(group, max_n, budget)
+            return ball_enumerate(group, max_n)
 
         monkeypatch.setattr(oracle, "ball_enumerate", recording)
         generating_set_comparison(DihedralInfinite(), [(0,), (1,)], [(0,), (0, 1)], 20,

@@ -38,6 +38,8 @@ C4 = cycle_graph(4)
 EDGE2 = complete_graph(2)
 EMPTY2 = empty_graph(2)
 TRIANGLE = complete_graph(3)
+PAW = GraphSpec(("a", "b", "c", "d"), frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
+STAR = GraphSpec(("a", "b", "c", "d"), frozenset({(0, 1), (0, 2), (0, 3)}))
 
 p3_letters = st.integers(min_value=0, max_value=5)
 p3_words = st.lists(p3_letters, min_size=0, max_size=8).map(tuple)
@@ -96,6 +98,29 @@ def chiswell_spheres(graph, max_n):
     for n in range(1, max_n + 1):
         spheres.append(-sum(denom[i] * spheres[n - i] for i in range(1, n + 1)))
     return spheres
+
+
+def reference_class_walk(graph, max_n):
+    """The counter's class walk with its cross-checks named: each class
+    closure is disjoint from those opened before it, and the split/non-split
+    key of its first word is distinct across the opened classes. Returns the
+    class spheres and the classes by support, as ``counts`` reports them."""
+    r = Raag(graph)
+    seen, keys = set(), set()
+    conj_sphere = [0] * (max_n + 1)
+    support_classes = Counter()
+    for w, dist in r.elements(max_n):
+        if w in seen or not r._cyclically_reduced(w):
+            continue
+        closure = r.cyclic_class(w)
+        assert seen.isdisjoint(closure), f"closure of {word_str(w)} meets an earlier class"
+        seen |= closure
+        key = r._key_of_reduced(w)
+        assert key not in keys, f"key of {word_str(w)} repeats an earlier class's"
+        keys.add(key)
+        conj_sphere[dist] += 1
+        support_classes[tuple(graph.labels[i] for i in sorted({c >> 1 for c in w}))] += 1
+    return conj_sphere, dict(support_classes)
 
 
 def reference_normal_form(word, graph):
@@ -340,22 +365,35 @@ class TestCounts:
         assert all(ratios[n + 1] < ratios[n] for n in range(2, 8))
 
     @pytest.mark.parametrize("graph, n", [(P3, 4), (C4, 3), (EMPTY2, 5)])
-    def test_budget_boundary(self, graph, n):
+    def test_budget_boundary(self, graph, n, monkeypatch):
         full = raag.counts(graph, n)
         ball_n = full.ball[n]
-        assert raag.counts(graph, n, budget=ball_n) == full
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(ball_n))
+        assert raag.counts(graph, n) == full
         with pytest.raises(BudgetExceededError) as err:
-            raag.counts(graph, n + 1, budget=ball_n)
+            raag.counts(graph, n + 1)
         assert err.value.completed == n
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(ball_n - 1))
         with pytest.raises(BudgetExceededError) as err:
-            raag.counts(graph, n, budget=ball_n - 1)
+            raag.counts(graph, n)
         assert err.value.completed == n - 1
+
+    @pytest.mark.parametrize("graph, n", [
+        (P3, 8), (C4, 7), (EMPTY2, 8), (EDGE2, 8), (TRIANGLE, 8),
+        (PAW, 6), (STAR, 6), (path_graph(4), 6), (cycle_graph(5), 6),
+    ], ids=["P3", "C4", "empty-2", "edge-2", "triangle", "paw", "star", "P4", "C5"])
+    def test_reference_class_walk_matches_counts(self, graph, n):
+        c = raag.counts(graph, n)
+        conj_sphere, support_classes = reference_class_walk(graph, n)
+        assert list(c.conj_sphere.values) == conj_sphere
+        assert list(c.support_classes.items()) == list(support_classes.items())
 
     @settings(max_examples=30)
     @given(small_graphs_and_radii())
     def test_counts_match_oracle_on_random_graphs(self, case):
         graph, n = case
         c = raag.counts(graph, n)
+        assert (list(c.conj_sphere.values), c.support_classes) == reference_class_walk(graph, n)
         group = oracle.RaagGroup(graph)
         _, spheres = oracle.ball_enumerate(group, n)
         table = oracle.conjugacy_classes(group, n, slack=2)
@@ -381,9 +419,10 @@ class TestCounts:
         balls = list(itertools.accumulate(chiswell_spheres(C4, 40)))
         assert balls == convolve(fg.ball_counts(2, 40), fg.sphere_sizes(2, 40))
 
-    def test_budget_is_enforced(self):
+    def test_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setenv("CONJRATIO_BUDGET", "100")
         with pytest.raises(BudgetExceededError) as err:
-            raag.counts(P3, 8, budget=100)
+            raag.counts(P3, 8)
         assert err.value.completed == 3
 
     def test_counts_match_oracle_class_counts(self):
