@@ -6,7 +6,6 @@ cross-validation and a CLI that emits deterministic growth tables.
 from .errors import BudgetExceededError, ConsistencyError, default_budget
 from .sequences import (
     CountSequence,
-    RatioSequence,
     VanishingReport,
     WindowEstimate,
     check_ratio_vanishes,
@@ -36,7 +35,6 @@ __all__ = [
     "GraphFormatError",
     "GraphSpec",
     "Raag",
-    "RatioSequence",
     "VanishingReport",
     "WindowEstimate",
     "check_ratio_vanishes",

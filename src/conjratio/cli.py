@@ -71,15 +71,9 @@ class RunConfig:
 
 @dataclass
 class GrowthData:
-    ball: list[int]
     sphere: list[int]
-    conj_ball: list[int]
     conj_sphere: list[int]
-    truncated: bool  # True when the budget cut the table short of max_n
-
-    @property
-    def last_n(self) -> int:
-        return len(self.ball) - 1
+    truncated: bool = False  # True when the budget cut the table short of max_n
 
 
 def _zd_spheres(dim: int) -> Iterator[int]:
@@ -94,65 +88,42 @@ def _zd_spheres(dim: int) -> Iterator[int]:
         yield sphere
 
 
-def _charge_budget(spheres: Iterable[int], max_n: int) -> None:
-    """Sum the sphere sizes lazily into |B(0..max_n)| and stop at the first
-    ball over the element budget, naming the radius before it, as the BFS's
-    own error would."""
-    budget = default_budget()
-    for n, ball in enumerate(accumulate(islice(spheres, max_n + 1))):
+def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
+    """Take |S(0..max_n)| lazily, summing them into balls, and stop at the
+    first ball over the element budget, naming the radius before it, as the
+    BFS's own error would. Returns the sphere sizes taken."""
+    budget, ball, charged = default_budget(), 0, []
+    for n, sphere in enumerate(islice(spheres, max_n + 1)):
+        ball += sphere
         if ball > budget:
             raise BudgetExceededError(n - 1, budget)
+        charged.append(sphere)
+    return charged
 
 
 def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    _charge_budget(free_group.iter_sphere_sizes(cfg.rank), max_n)
-    balls = free_group.ball_counts(cfg.rank, max_n)
-    conj_sphere = free_group.conjugacy_sphere_counts(cfg.rank, max_n)
-    return GrowthData(
-        ball=balls,
-        sphere=free_group.sphere_sizes(cfg.rank, max_n),
-        conj_ball=list(accumulate(conj_sphere)),
-        conj_sphere=conj_sphere,
-        truncated=False,
-    )
+    return GrowthData(_charge_budget(free_group.iter_sphere_sizes(cfg.rank), max_n),
+                      free_group.conjugacy_sphere_counts(cfg.rank, max_n))
 
 
 def _free_abelian_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    _charge_budget(_zd_spheres(cfg.dim), max_n)
-    spheres = list(islice(_zd_spheres(cfg.dim), max_n + 1))
-    balls = list(accumulate(spheres))
-    return GrowthData(balls, spheres, list(balls), list(spheres), truncated=False)
+    spheres = _charge_budget(_zd_spheres(cfg.dim), max_n)
+    return GrowthData(spheres, spheres)  # every element is its own class
 
 
 def _raag_growth(cfg: RunConfig, max_n: int) -> GrowthData:
     counts = raag.counts(cfg.graph(), max_n)
-    return GrowthData(
-        ball=list(counts.ball.values),
-        sphere=list(counts.sphere.values),
-        conj_ball=list(counts.conj_ball.values),
-        conj_sphere=list(counts.conj_sphere.values),
-        truncated=False,
-    )
+    return GrowthData(list(counts.sphere.values), list(counts.conj_sphere.values))
 
 
 def _lamplighter_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    # The window sum is O(n^4): charge the budget at doubling radii, so the
-    # table is never summed past twice the first radius over the budget.
-    radius = min(1, max_n)
-    while True:
-        spheres = lamplighter.sphere_counts(radius)
-        _charge_budget(spheres, radius)
-        if radius == max_n:
-            break
-        radius = min(2 * radius, max_n)
-    conj_sphere, conj_ball = lamplighter.conjugacy_counts(max_n)
-    return GrowthData(list(accumulate(spheres)), spheres, conj_ball, conj_sphere, False)
+    return GrowthData(_charge_budget(lamplighter.iter_sphere_counts(), max_n),
+                      lamplighter.conjugacy_counts(max_n)[0])
 
 
 def _keyed_oracle_growth(group, key: Callable, max_n: int) -> GrowthData:
     dist, spheres = oracle.ball_enumerate(group, max_n)
-    conj_sphere, conj_ball = oracle.key_class_counts(dist, key, max_n)
-    return GrowthData(list(accumulate(spheres)), list(spheres), conj_ball, conj_sphere, False)
+    return GrowthData(list(spheres), oracle.key_class_counts(dist, key, max_n)[0])
 
 
 def _growth_data(cfg: RunConfig, max_n: int) -> GrowthData:
@@ -169,18 +140,17 @@ def _growth_with_truncation(cfg: RunConfig) -> GrowthData:
 
 
 def _growth_columns(data: GrowthData) -> dict[str, list]:
-    ratio_col, nsr_col = [], []
-    for n in range(data.last_n + 1):
-        ratio_col.append(decimal_str(Fraction(data.conj_ball[n], data.ball[n])))
-        nsr_col.append(decimal_str(Fraction(n * data.conj_sphere[n], data.sphere[n])))
+    ball, conj_ball = list(accumulate(data.sphere)), list(accumulate(data.conj_sphere))
+    n_col = list(range(len(ball)))
     return {
-        "n": list(range(data.last_n + 1)),
-        "ball": data.ball,
+        "n": n_col,
+        "ball": ball,
         "sphere": data.sphere,
-        "conj_ball": data.conj_ball,
+        "conj_ball": conj_ball,
         "conj_sphere": data.conj_sphere,
-        "ratio": ratio_col,
-        "n_sph_ratio": nsr_col,
+        "ratio": [decimal_str(Fraction(c, b)) for c, b in zip(conj_ball, ball)],
+        "n_sph_ratio": [decimal_str(Fraction(n * c, s))
+                        for n, c, s in zip(n_col, data.conj_sphere, data.sphere)],
     }
 
 
@@ -202,14 +172,15 @@ def _json_table(payload: dict) -> str:
 def run_growth(cfg: RunConfig) -> str:
     data = _growth_with_truncation(cfg)
     columns = _growth_columns(data)
+    truncated_at = len(data.sphere) - 1 if data.truncated else None
     if cfg.fmt == "csv":
-        trailer = f"#truncated,{data.last_n}" if data.truncated else None
+        trailer = None if truncated_at is None else f"#truncated,{truncated_at}"
         return _csv_table(GROWTH_HEADER, columns, trailer)
     payload = {
         "family": cfg.family,
         "parameters": FAMILIES[cfg.family].parameters(cfg),
         "max_n": cfg.max_n,
-        "truncated": data.last_n if data.truncated else None,
+        "truncated": truncated_at,
         "columns": columns,
     }
     return _json_table(payload)
@@ -248,8 +219,7 @@ def run_compare(cfg: RunConfig) -> str:
         raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
     group, gens_x, gens_y, key = family.compare(cfg)
     report = oracle.generating_set_comparison(
-        group, gens_x, gens_y, cfg.max_n,
-        slack=cfg.slack, window=cfg.window, key=key)
+        group, gens_x, gens_y, cfg.max_n, window=cfg.window, key=key)
     n_col = list(range(min(len(report.ratios_x), len(report.ratios_y))))
     columns = {
         "n": n_col,
@@ -369,7 +339,7 @@ def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 7)
     table = _closure(cfg, oracle.Lamplighter(), n, max(n, 1),
-                     (lamplighter.sphere_counts(m)[m] for m in count()))
+                     lamplighter.iter_sphere_counts())
     return [
         ("lamplighter: metric formula vs BFS distance", n,
          all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)),
@@ -470,26 +440,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_family=True):
-        if with_family:
-            p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-            p.add_argument("--rank", type=int, default=2,
-                           help="rank for the free family (default 2)")
-            p.add_argument("--dim", type=int, default=2,
-                           help="dimension for the free-abelian family (default 2)")
-            p.add_argument("--graph", dest="graph_path",
-                           help="commutation graph file for the raag family")
+    def add_common(p):
+        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+        p.add_argument("--rank", type=int, default=2,
+                       help="rank for the free family (default 2)")
+        p.add_argument("--dim", type=int, default=2,
+                       help="dimension for the free-abelian family (default 2)")
+        p.add_argument("--graph", dest="graph_path",
+                       help="commutation graph file for the raag family")
         p.add_argument("--max-n", type=int, default=8, help="largest radius (default 8)")
-        p.add_argument("--slack", type=int, default=None,
-                       help="extra conjugation-closure radius (default: per family)")
-        p.add_argument("--window", type=int, default=5,
-                       help="terms in windowed limsup estimates (default 5)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="write the table here instead of stdout")
+        return p
 
     add_common(sub.add_parser("growth", help="ball/sphere/conjugacy growth table"))
-    add_common(sub.add_parser("validate", help="cross-validation suite for a family"))
-    add_common(sub.add_parser("compare", help="conjugacy ratio under two generating sets"))
+    validate = add_common(sub.add_parser("validate", help="cross-validation suite for a family"))
+    validate.add_argument("--slack", type=int, default=None,
+                          help="extra conjugation-closure radius (default: per family)")
+    compare = add_common(sub.add_parser("compare",
+                                        help="conjugacy ratio under two generating sets"))
+    compare.add_argument("--window", type=int, default=5,
+                         help="terms in windowed limsup estimates (default 5)")
     neck = sub.add_parser("necklace", help="necklace counts from a file of per-length totals")
     neck.add_argument("counts_file", help="text file, one count per line (a(1), a(2), ...)")
     neck.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
@@ -511,17 +482,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "necklace":
             _emit(run_necklace(args.counts_file, args.fmt), args.out)
             return 0
-        cfg = RunConfig(
-            family=args.family,
-            rank=args.rank,
-            dim=args.dim,
-            graph_path=args.graph_path,
-            max_n=args.max_n,
-            slack=args.slack,
-            fmt=args.fmt,
-            window=args.window,
-            out=args.out,
-        )
+        # each verb's options are RunConfig fields; the ones it lacks keep their defaults
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
         if args.command == "growth":
             _emit(run_growth(cfg), cfg.out)
             return 0

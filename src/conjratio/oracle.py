@@ -33,14 +33,7 @@ from . import free_group
 from . import lamplighter as lamp
 from .errors import BudgetExceededError, default_budget
 from .raag import GraphSpec, Raag
-from .sequences import (
-    CountSequence,
-    RatioSequence,
-    WindowEstimate,
-    min_length_census,
-    ratio,
-    window_estimate,
-)
+from .sequences import WindowEstimate, min_length_census, ratio, window_estimate
 
 
 @dataclass(frozen=True)
@@ -345,8 +338,8 @@ def _check_generates(target, other, probe_radius: int = 2, cap: int = 12) -> Non
 class ComparisonReport:
     """Conjugacy-ratio sequences of one group under two generating sets."""
 
-    ratios_x: RatioSequence
-    ratios_y: RatioSequence
+    ratios_x: tuple[Fraction, ...]
+    ratios_y: tuple[Fraction, ...]
     estimate_x: WindowEstimate
     estimate_y: WindowEstimate
 
@@ -369,18 +362,15 @@ def generating_set_comparison(group, gens_x, gens_y, max_n: int,
     _check_generates(group_x, group_y)
     _check_generates(group_y, group_x)
 
-    def one_side(carried: Group) -> tuple[RatioSequence, WindowEstimate]:
+    def one_side(carried: Group) -> tuple[tuple[Fraction, ...], WindowEstimate]:
         if key is not None:
             dist, spheres = ball_enumerate(carried, max_n)
             _, conj_balls = key_class_counts(dist, key, max_n)
         else:
             table = conjugacy_classes(carried, max_n, slack=slack)
             spheres, conj_balls = table.spheres, table.ball_classes
-        ratios = ratio(
-            CountSequence(tuple(conj_balls), "conjugacy-ball"),
-            CountSequence(tuple(accumulate(spheres)), "ball"),
-        )
-        return ratios, window_estimate(ratios.values, window)
+        ratios = ratio(conj_balls, list(accumulate(spheres)))
+        return ratios, window_estimate(ratios, window)
 
     ratios_x, estimate_x = one_side(group_x)
     ratios_y, estimate_y = one_side(group_y)

@@ -62,7 +62,7 @@ class CountSequence:
         return CountSequence(tuple(accumulate(self.values)), kind)
 
 
-def ratio(numer: CountSequence, denom: CountSequence) -> "RatioSequence":
+def ratio(numer: Sequence[int], denom: Sequence[int]) -> tuple[Fraction, ...]:
     """Pointwise numer[n] / denom[n] as exact fractions."""
     if len(numer) != len(denom):
         raise ValueError(f"length mismatch: {len(numer)} vs {len(denom)}")
@@ -71,18 +71,7 @@ def ratio(numer: CountSequence, denom: CountSequence) -> "RatioSequence":
         if denom[i] == 0:
             raise ZeroDivisionError(f"denominator count is 0 at radius {i}")
         vals.append(Fraction(numer[i], denom[i]))
-    return RatioSequence(tuple(vals))
-
-
-@dataclass(frozen=True)
-class RatioSequence:
-    values: tuple[Fraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
+    return tuple(vals)
 
 
 def stolz_cesaro(numer: Sequence[int], denom: Sequence[int]) -> list[Fraction]:

@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ def rows(text):
 
 
 P3_GRAPH = "vertices: a b c\nedge: a b\nedge: b c\n"
+LAMPLIGHTER_N400 = Path(__file__).resolve().parents[1] / "data" / "lamplighter-n400.csv"
 
 
 @pytest.fixture
@@ -190,8 +192,7 @@ class TestTruncation:
             assert out.splitlines()[-1] == "#truncated,8"
 
     @pytest.mark.parametrize("argv,max_n,completed", [
-        # ball(26) = 4,271,663, ball(27) = 6,933,430; the O(n^4) sphere sum
-        # at n = 2000 would not finish
+        # ball(26) = 4,271,663, ball(27) = 6,933,430
         (["--family", "lamplighter"], "2000", 26),
         # ball(13) = 3,188,645, ball(14) = 9,565,937; the ball list to
         # n = 10^6 would exhaust memory
@@ -208,6 +209,22 @@ class TestTruncation:
         assert (code, err) == (0, "")
         _, table, _ = run_cli(["growth", *argv, "--max-n", str(completed)])
         assert out == table + f"#truncated,{completed}\n"
+
+    def test_lamplighter_far_radius_under_a_huge_budget(self, monkeypatch):
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(10 ** 200))
+        start = time.perf_counter()
+        code, out, err = run_cli(["growth", "--family", "lamplighter", "--max-n", "400"])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        _, head, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "60"])
+        assert out.startswith(head)
+        assert len(out.splitlines()) == 402
+
+    def test_published_lamplighter_table_is_current(self, monkeypatch):
+        # data/lamplighter-n400.csv is this command's output
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(10 ** 200))
+        _, out, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "400"])
+        assert out.encode() == LAMPLIGHTER_N400.read_bytes()
 
     def test_bfs_family_truncates(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "300")
@@ -446,6 +463,18 @@ class TestErrorExits:
                                 "--window", "1"])
         assert code == 2
         assert "window must be at least 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--family", "free", "--slack", "1"],
+        ["compare", "--family", "free", "--slack", "1"],
+        ["validate", "--family", "free", "--window", "3"],
+        ["growth", "--family", "free", "--window", "1"],
+    ])
+    def test_verbs_take_only_the_options_they_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 class TestOutputFile:

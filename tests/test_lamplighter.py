@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,22 @@ elements = st.builds(ll.element, lamp_sets, cursors)
 def bfs_elements(radius):
     dist, _ = oracle.ball_enumerate(oracle.Lamplighter(), radius)
     return dist
+
+
+def window_sum_spheres(max_n):
+    """|S(0..max_n)| by summing binomials over lamp windows: each window
+    fixes the walk, its forced end lamps, and the free positions among
+    which any number of lamps are lit."""
+    counts = [0] * (max_n + 1)
+    for m, p, q, base in ll._windows(max_n):
+        lo, hi = min(0, m), max(0, m)
+        forced = (1 if p < lo else 0) + (1 if q > hi else 0)
+        free = (q - p + 1) - forced
+        for j in range(free + 1):
+            length = base + forced + j
+            if length <= max_n:
+                counts[length] += comb(free, j)
+    return counts
 
 
 class TestGroupLaw:
@@ -83,6 +100,9 @@ class TestCounts:
 
     def test_ball_counts(self):
         assert list(accumulate(ll.sphere_counts(14))) == self.BALLS
+
+    def test_series_matches_window_sum(self):
+        assert ll.sphere_counts(150) == window_sum_spheres(150)
 
     def test_spheres_match_bfs(self):
         _, spheres = oracle.ball_enumerate(oracle.Lamplighter(), 9)
