@@ -5,7 +5,6 @@ cross-validation and a CLI that emits deterministic growth tables.
 
 from .errors import BudgetExceededError, ConsistencyError, default_budget
 from .sequences import (
-    CountSequence,
     VanishingReport,
     WindowEstimate,
     check_ratio_vanishes,
@@ -31,7 +30,6 @@ __all__ = [
     "BudgetExceededError",
     "ClosureHypothesisError",
     "ConsistencyError",
-    "CountSequence",
     "GraphFormatError",
     "GraphSpec",
     "Raag",

@@ -13,14 +13,15 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import free_group, lamplighter, oracle, raag
 from .errors import BudgetExceededError, default_budget
 from .raag import GraphFormatError
 # convolve and window_estimate are not called here; perfbench/tracer.py wraps these names
-from .sequences import convolve, decimal_str, window_estimate
+from .sequences import convolve, decimal_str, iter_series, window_estimate
 from .words import (
     ClosureHypothesisError,
     cycrep_counts,
@@ -76,16 +77,15 @@ class GrowthData:
     truncated: bool = False  # True when the budget cut the table short of max_n
 
 
-def _zd_spheres(dim: int) -> Iterator[int]:
-    """|S(0)|, |S(1)|, ... of Z^dim without end. The Z^(j+1) spheres are the
-    Z^j spheres convolved with Z's spheres 1, 2, 2, ..., one radius at a
-    time: S_(j+1)(n) = S_j(n) + 2 |B_j(n - 1)|, with Z^0 a point."""
-    below = [0] * dim  # below[j] = |B_j(n - 1)|
-    for n in count():
-        sphere = int(n == 0)
-        for j in range(dim):
-            sphere, below[j] = sphere + 2 * below[j], below[j] + sphere
-        yield sphere
+def _series(cfg: RunConfig) -> Iterator[int]:
+    """|S(0)|, |S(1)|, ... without end, from the family's rational series."""
+    return iter_series(*FAMILIES[cfg.family].series(cfg))
+
+
+def _free_abelian_series(cfg: RunConfig):
+    """((1 + x) / (1 - x))^dim, its binomials taken lazily."""
+    return ((comb(cfg.dim, k) for k in range(cfg.dim + 1)),
+            ((-1) ** k * comb(cfg.dim, k) for k in range(cfg.dim + 1)))
 
 
 def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
@@ -101,33 +101,12 @@ def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
     return charged
 
 
-def _free_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    return GrowthData(_charge_budget(free_group.iter_sphere_sizes(cfg.rank), max_n),
-                      free_group.conjugacy_sphere_counts(cfg.rank, max_n))
-
-
-def _free_abelian_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    spheres = _charge_budget(_zd_spheres(cfg.dim), max_n)
-    return GrowthData(spheres, spheres)  # every element is its own class
-
-
-def _raag_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    counts = raag.counts(cfg.graph(), max_n)
-    return GrowthData(list(counts.sphere.values), list(counts.conj_sphere.values))
-
-
-def _lamplighter_growth(cfg: RunConfig, max_n: int) -> GrowthData:
-    return GrowthData(_charge_budget(lamplighter.iter_sphere_counts(), max_n),
-                      lamplighter.conjugacy_counts(max_n)[0])
-
-
-def _keyed_oracle_growth(group, key: Callable, max_n: int) -> GrowthData:
-    dist, spheres = oracle.ball_enumerate(group, max_n)
-    return GrowthData(list(spheres), oracle.key_class_counts(dist, key, max_n)[0])
-
-
 def _growth_data(cfg: RunConfig, max_n: int) -> GrowthData:
-    return FAMILIES[cfg.family].growth(cfg, max_n)
+    family = FAMILIES[cfg.family]
+    if family.series is None:  # raag: its enumeration charges the budget
+        counts = raag.counts(cfg.graph(), max_n)
+        return GrowthData(counts.sphere, counts.conj_sphere)
+    return GrowthData(_charge_budget(_series(cfg), max_n), family.classes(cfg, max_n))
 
 
 def _growth_with_truncation(cfg: RunConfig) -> GrowthData:
@@ -276,13 +255,12 @@ def run_necklace(path: str, fmt: str) -> str:
 # validation suites: (name, radius, passed) triples per family
 
 
-def _closure(cfg: RunConfig, group, n: int, default_slack: int,
-             closed_form: Optional[Iterable[int]] = None):
-    """The oracle's closure over B(n + slack). ``closed_form``, the sphere
-    sizes by radius, charges the budget before the closure's enumeration."""
+def _closure(cfg: RunConfig, group, n: int, default_slack: int):
+    """The oracle's closure over B(n + slack). A family with a sphere series
+    charges the budget with it before the closure's enumeration."""
     slack = default_slack if cfg.slack is None else cfg.slack
-    if closed_form is not None:
-        _charge_budget(closed_form, n + slack)
+    if FAMILIES[cfg.family].series is not None:
+        _charge_budget(_series(cfg), n + slack)
     return oracle.conjugacy_classes(group, n, slack=slack)
 
 
@@ -304,8 +282,7 @@ def _oracle_rows(family: str, table: oracle.ConjugacyTable,
 
 def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 8)
-    table = _closure(cfg, oracle.FreeGroup(cfg.rank), n, 2,
-                     free_group.iter_sphere_sizes(cfg.rank))
+    table = _closure(cfg, oracle.FreeGroup(cfg.rank), n, 2)
     strict = free_group.cyclically_reduced_counts(cfg.rank, max(n, 6))
     necklaces = cycrep_counts(strict)
     identity_ok = all(
@@ -328,18 +305,16 @@ def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     counts = raag.counts(graph, n)
     table = _closure(cfg, oracle.RaagGroup(graph), n, 2)
     return [
-        ("raag: ball counts vs oracle BFS", n,
-         list(accumulate(table.spheres)) == list(counts.ball.values)),
+        ("raag: ball counts vs oracle BFS", n, list(table.spheres) == counts.sphere),
         ("raag: conjugacy counts vs oracle", n,
-         list(table.ball_classes) == list(counts.conj_ball.values)),
+         list(table.sphere_classes) == counts.conj_sphere),
         *_oracle_rows("raag", table, raag.Raag(graph).element_key),
     ]
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 7)
-    table = _closure(cfg, oracle.Lamplighter(), n, max(n, 1),
-                     lamplighter.iter_sphere_counts())
+    table = _closure(cfg, oracle.Lamplighter(), n, max(n, 1))
     return [
         ("lamplighter: metric formula vs BFS distance", n,
          all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)),
@@ -353,8 +328,8 @@ def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6 if cfg.dim <= 3 else 4)
-    table = _closure(cfg, oracle.FreeAbelian(cfg.dim), n, 2, _zd_spheres(cfg.dim))
-    balls = list(accumulate(islice(_zd_spheres(cfg.dim), n + 1)))
+    table = _closure(cfg, oracle.FreeAbelian(cfg.dim), n, 2)
+    balls = list(accumulate(islice(_series(cfg), n + 1)))
     return [
         ("free-abelian: convolution balls vs oracle BFS", n,
          list(accumulate(table.spheres)) == balls),
@@ -384,31 +359,34 @@ def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 @dataclass(frozen=True)
 class Family:
-    """Everything the verbs need to know about one family."""
+    """Everything the verbs need to know about one family: the sphere sizes'
+    series as (numerator, denominator) coefficients and the class counts by
+    least length 0..n, or neither for a family counted by enumeration."""
 
-    growth: Callable[[RunConfig, int], GrowthData]
     validate: Callable[[RunConfig], list[tuple[str, int, bool]]]
+    series: Optional[Callable[[RunConfig], tuple[Iterable[int], Iterable[int]]]] = None
+    classes: Optional[Callable[[RunConfig, int], list[int]]] = None
     parameters: Callable[[RunConfig], dict] = lambda cfg: {}
     compare: Optional[Callable[[RunConfig], tuple]] = None  # None: compare unsupported
 
 
 FAMILIES = {
-    "free": Family(_free_growth, _validate_free,
+    "free": Family(_validate_free, lambda cfg: free_group.series(cfg.rank),
+                   lambda cfg, n: free_group.conjugacy_sphere_counts(cfg.rank, n),
                    parameters=lambda cfg: {"rank": cfg.rank}, compare=_compare_free),
-    "free-abelian": Family(_free_abelian_growth, _validate_free_abelian,
+    # every element is its own class
+    "free-abelian": Family(_validate_free_abelian, _free_abelian_series,
+                           lambda cfg, n: list(islice(_series(cfg), n + 1)),
                            parameters=lambda cfg: {"dim": cfg.dim},
                            compare=_compare_free_abelian),
-    "raag": Family(_raag_growth, _validate_raag,
-                   parameters=lambda cfg: {"graph": cfg.graph_path}),
-    "lamplighter": Family(_lamplighter_growth, _validate_lamplighter),
-    "dihedral-inf": Family(
-        lambda cfg, max_n: _keyed_oracle_growth(
-            oracle.DihedralInfinite(), oracle.dihedral_conjugacy_key, max_n),
-        _validate_dihedral, compare=_compare_dihedral),
-    "heisenberg": Family(
-        lambda cfg, max_n: _keyed_oracle_growth(
-            oracle.Heisenberg(), oracle.heisenberg_conjugacy_key, max_n),
-        _validate_heisenberg),
+    "raag": Family(_validate_raag, parameters=lambda cfg: {"graph": cfg.graph_path}),
+    "lamplighter": Family(_validate_lamplighter, lambda cfg: lamplighter.SERIES,
+                          lambda cfg, n: lamplighter.conjugacy_counts(n)[0]),
+    "dihedral-inf": Family(_validate_dihedral, lambda cfg: oracle.DIHEDRAL_SERIES,
+                           lambda cfg, n: oracle.dihedral_class_spheres(n),
+                           compare=_compare_dihedral),
+    "heisenberg": Family(_validate_heisenberg, lambda cfg: oracle.HEISENBERG_SERIES,
+                         lambda cfg, n: oracle.heisenberg_class_spheres(n)),
 }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
+from .sequences import iter_series
 from .words import cycrep_counts, inverse_code, least_rotation
 
 Word = tuple[int, ...]
@@ -72,13 +73,10 @@ def conj_key(word: Sequence[int]) -> Word:
     return least_rotation(cyclic_reduce(word))
 
 
-def iter_sphere_sizes(rank: int) -> Iterator[int]:
-    """|S(0)|, |S(1)|, ... without end: 1, then 2k(2k-1)^(n-1) at rank k."""
-    yield 1
-    size = 2 * rank
-    while True:
-        yield size
-        size *= 2 * rank - 1
+def series(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sphere sizes' series (1 + x) / (1 - (2k - 1)x) at rank k, as
+    (numerator, denominator) coefficients."""
+    return (1, 1), (1, 1 - 2 * rank)
 
 
 def sphere_sizes(rank: int, max_n: int) -> list[int]:
@@ -87,7 +85,7 @@ def sphere_sizes(rank: int, max_n: int) -> list[int]:
         raise ValueError("rank must be at least 1")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return list(islice(iter_sphere_sizes(rank), max_n + 1))
+    return list(islice(iter_series(*series(rank)), max_n + 1))
 
 
 def ball_counts(rank: int, max_n: int) -> list[int]:

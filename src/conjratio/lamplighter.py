@@ -16,11 +16,11 @@ the test routes for both counts.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator
 
+from .sequences import iter_series
 from .words import divisors, euler_phi, least_rotation
 
 
@@ -82,45 +82,34 @@ def _windows(max_n: int) -> Iterator[tuple[int, int, int, int]]:
             p -= 1
 
 
-# S(x) = _NUMER(x) / _DENOM(x), coefficients from x^0 up; see iter_sphere_counts
-_NUMER = (1, 2, 0, -3, -3, 0, 2, 1)  # (1 + x)(1 + x + x^2)(1 - x^2)^2
-_DENOM = (1, -1, -3, 0, 5, 3, -2, -3, -1)  # (1 - x - x^2)(1 - x^2 - x^3)^2
+SERIES = ((1, 2, 0, -3, -3, 0, 2, 1),  # (1 + x)(1 + x + x^2)(1 - x^2)^2
+          (1, -1, -3, 0, 5, 3, -2, -3, -1))  # (1 - x - x^2)(1 - x^2 - x^3)^2
+"""The growth series S(x) as (numerator, denominator) coefficients from
+x^0 up; the comments give both factored.
 
+Derivation from ``_windows``: an element is its cursor m, its lamp
+window [p, q] around [min(0, m), max(0, m)], and its lit lamps. The
+window costs the walk 2(q - p) - |m|; an overhang end beyond the
+cursor's span must be lit, and every other position in the window is
+free, so each contributes a factor 1 + x. An overhang of a >= 1 steps
+on one side thus gives x^(2a) * x * (1 + x)^(a - 1), and with a = 0
+giving 1 the side sums to F = 1 + x^3 / (1 - x^2 - x^3)
+= (1 - x^2) / (1 - x^2 - x^3). Cursor 0 leaves the one position 0
+free, so it gives (1 + x) F^2; cursor +-m walks m steps over m + 1 free
+positions and gives x^m (1 + x)^(m + 1) F^2 each. Summing over m,
 
-def iter_sphere_counts() -> Iterator[int]:
-    """|S(0)|, |S(1)|, ... without end, the coefficients of the growth series
+    S = (1 + x) F^2 (1 + 2x(1 + x) / (1 - x - x^2)),
 
-        S(x) = (1 + x)(1 + x + x^2)(1 - x^2)^2 / ((1 - x - x^2)(1 - x^2 - x^3)^2).
-
-    Derivation from ``_windows``: an element is its cursor m, its lamp
-    window [p, q] around [min(0, m), max(0, m)], and its lit lamps. The
-    window costs the walk 2(q - p) - |m|; an overhang end beyond the
-    cursor's span must be lit, and every other position in the window is
-    free, so each contributes a factor 1 + x. An overhang of a >= 1 steps
-    on one side thus gives x^(2a) * x * (1 + x)^(a - 1), and with a = 0
-    giving 1 the side sums to F = 1 + x^3 / (1 - x^2 - x^3)
-    = (1 - x^2) / (1 - x^2 - x^3). Cursor 0 leaves the one position 0
-    free, so it gives (1 + x) F^2; cursor +-m walks m steps over m + 1 free
-    positions and gives x^m (1 + x)^(m + 1) F^2 each. Summing over m,
-
-        S = (1 + x) F^2 (1 + 2x(1 + x) / (1 - x - x^2)),
-
-    which is the form above. So for n >= 8, s(n) = s(n-1) + 3s(n-2)
-    - 5s(n-4) - 3s(n-5) + 2s(n-6) + 3s(n-7) + s(n-8).
-    """
-    recent = deque([0] * 8, maxlen=8)  # s(n - 8), ..., s(n - 1)
-    tail = _DENOM[:0:-1]  # d(8), ..., d(1), aligned with recent
-    for n in itertools.count():
-        s = (_NUMER[n] if n < len(_NUMER) else 0) - sum(d * r for d, r in zip(tail, recent))
-        recent.append(s)
-        yield s
+which factors as in the comments. So for n >= 8, s(n) = s(n-1) + 3s(n-2)
+- 5s(n-4) - 3s(n-5) + 2s(n-6) + 3s(n-7) + s(n-8).
+"""
 
 
 def sphere_counts(max_n: int) -> list[int]:
     """Exact |S(0..max_n)| from the rational growth series."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return list(itertools.islice(iter_sphere_counts(), max_n + 1))
+    return list(itertools.islice(iter_series(*SERIES), max_n + 1))
 
 
 def elements_by_length(max_n: int) -> Iterator[tuple[LampElement, int]]:

@@ -28,11 +28,9 @@ so checks the counter's class counts by an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, ConsistencyError, default_budget
-from .sequences import CountSequence
 from .words import least_rotation, rotate
 
 Piles = tuple[tuple[int, ...], ...]
@@ -144,10 +142,8 @@ def cycle_graph(k: int) -> GraphSpec:
 
 @dataclass
 class RaagCounts:
-    ball: CountSequence
-    sphere: CountSequence
-    conj_ball: CountSequence
-    conj_sphere: CountSequence
+    sphere: list[int]
+    conj_sphere: list[int]
     # classes grouped by the exact generator support of their shortest
     # representatives, as label tuples
     support_classes: dict[tuple[str, ...], int]
@@ -419,7 +415,7 @@ class Raag:
             sphere = nxt
 
     def counts(self, max_n: int) -> RaagCounts:
-        """Exact ball/sphere/conjugacy counts. A class is opened at the
+        """Exact sphere and conjugacy-sphere counts. A class is opened at the
         first cyclically reduced normal form met, which has the least length
         in its class, and its whole ``cyclic_class`` is marked seen."""
         sphere = [0] * (max_n + 1)
@@ -434,13 +430,7 @@ class Raag:
             conj_sphere[dist] += 1
             labels = tuple(self.graph.labels[i] for i in sorted({c >> 1 for c in w}))
             support_classes[labels] = support_classes.get(labels, 0) + 1
-        return RaagCounts(
-            ball=CountSequence(tuple(accumulate(sphere)), "ball"),
-            sphere=CountSequence(tuple(sphere), "sphere"),
-            conj_ball=CountSequence(tuple(accumulate(conj_sphere)), "conjugacy-ball"),
-            conj_sphere=CountSequence(tuple(conj_sphere), "conjugacy-sphere"),
-            support_classes=support_classes,
-        )
+        return RaagCounts(sphere, conj_sphere, support_classes)
 
 
 _RAAG_CACHE: dict[GraphSpec, Raag] = {}

@@ -8,58 +8,36 @@ from __future__ import annotations
 
 import decimal
 import statistics
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Optional, Sequence
-
-KINDS = ("ball", "sphere", "conjugacy-ball", "conjugacy-sphere")
+from itertools import accumulate, chain, repeat
+from operator import mul
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 MODE_INCREMENT = "increment"
 MODE_GEOMETRIC = "geometric"
 
 
-@dataclass(frozen=True)
-class CountSequence:
-    """Exact counts indexed by radius 0..len-1. ``kind`` says whether the
-    entries are cumulative (ball-like) or per-radius (sphere-like)."""
+def iter_series(numer: Iterable[int], denom: Iterable[int]) -> Iterator[int]:
+    """The coefficients of numer(x) / denom(x) from x^0 up, without end.
 
-    values: tuple[int, ...]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.values:
-            raise ValueError("need at least the radius-0 count")
-        if any(v < 0 for v in self.values):
-            raise ValueError("counts cannot be negative")
-        if self.kind in ("ball", "conjugacy-ball"):
-            if self.values[0] < 1:
-                raise ValueError("a ball contains at least the identity")
-            if any(b > a for b, a in zip(self.values, self.values[1:])):
-                raise ValueError("ball counts must be nondecreasing")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def to_spheres(self) -> "CountSequence":
-        if self.kind not in ("ball", "conjugacy-ball"):
-            raise ValueError(f"cannot difference a {self.kind} sequence")
-        diffs = (self.values[0],) + tuple(
-            a - b for b, a in zip(self.values, self.values[1:])
-        )
-        kind = "sphere" if self.kind == "ball" else "conjugacy-sphere"
-        return CountSequence(diffs, kind)
-
-    def to_ball(self) -> "CountSequence":
-        if self.kind not in ("sphere", "conjugacy-sphere"):
-            raise ValueError(f"cannot accumulate a {self.kind} sequence")
-        kind = "ball" if self.kind == "sphere" else "conjugacy-ball"
-        return CountSequence(tuple(accumulate(self.values)), kind)
+    Both polynomials are coefficient iterables from x^0 up, read one term
+    at a time, so a huge degree costs only the terms read. denom(0) must be
+    1 (ValueError otherwise); then s(n) = numer(n) - sum of denom(k) s(n - k)
+    over k >= 1, keeping as many past terms as denom's degree."""
+    numer, denom = chain(numer, repeat(0)), iter(denom)
+    if next(denom, None) != 1:
+        raise ValueError("the denominator's constant term must be 1")
+    tail, past = [], deque()  # denom(1), denom(2), ... as read; s(n - 1), s(n - 2), ...
+    for d in chain(denom, repeat(None)):
+        if d is not None:
+            tail.append(d)
+        elif len(past) > len(tail):
+            past.pop()
+        s = next(numer) - sum(map(mul, tail, past))
+        past.appendleft(s)
+        yield s
 
 
 def ratio(numer: Sequence[int], denom: Sequence[int]) -> tuple[Fraction, ...]:

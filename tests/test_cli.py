@@ -9,13 +9,14 @@ determinism on top of that.
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from conjratio import cli, oracle
+from conjratio import cli, lamplighter, oracle, raag
 from conjratio.cli import RunConfig
 
 
@@ -34,6 +35,7 @@ def rows(text):
 
 P3_GRAPH = "vertices: a b c\nedge: a b\nedge: b c\n"
 LAMPLIGHTER_N400 = Path(__file__).resolve().parents[1] / "data" / "lamplighter-n400.csv"
+HEISENBERG_N200 = Path(__file__).resolve().parents[1] / "data" / "heisenberg-n200.csv"
 
 
 @pytest.fixture
@@ -226,6 +228,25 @@ class TestTruncation:
         _, out, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "400"])
         assert out.encode() == LAMPLIGHTER_N400.read_bytes()
 
+    def test_published_heisenberg_table_is_current(self, monkeypatch):
+        # data/heisenberg-n200.csv is this command's output
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(10 ** 200))
+        start = time.perf_counter()
+        _, out, _ = run_cli(["growth", "--family", "heisenberg", "--max-n", "200"])
+        assert time.perf_counter() - start < 1
+        assert len(out.splitlines()) == 202
+        assert out.encode() == HEISENBERG_N200.read_bytes()
+
+    def test_huge_dimension_reads_only_the_binomials_it_needs(self):
+        # |B(1)| = 2,000,001 fits the default budget, |B(2)| does not
+        start = time.perf_counter()
+        code, out, err = run_cli(["growth", "--family", "free-abelian", "--dim", "1000000",
+                                  "--max-n", "5"])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["1,2000001,2000000,2000001,2000000,1.000000000000,"
+                                         "1.000000000000", "#truncated,1"]
+
     def test_bfs_family_truncates(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "300")
         code, out, _ = run_cli(["growth", "--family", "heisenberg", "--max-n", "9"])
@@ -236,6 +257,10 @@ class TestTruncation:
         (["--family", "free", "--rank", "100", "--max-n", "1"], "5000000", 2),
         (["--family", "free-abelian", "--dim", "1000", "--max-n", "4"], "200000", 1),
         (["--family", "lamplighter", "--max-n", "7", "--slack", "30"], "500000", 21),
+        # ball(58) = 4,840,493 and ball(249,999) = 499,999; a D-infinity BFS that far
+        # would hold about n^2 letters
+        (["--family", "heisenberg", "--max-n", "6", "--slack", "100"], "5000000", 58),
+        (["--family", "dihedral-inf", "--max-n", "16", "--slack", "300000"], "500000", 249999),
     ])
     @pytest.mark.parametrize("slack", [[], ["--slack", "1000000"]])
     def test_validate_charges_the_budget_before_enumerating(self, monkeypatch, argv, budget,
@@ -399,6 +424,30 @@ class TestFamilyTable:
             assert code == 2 and out == ""
             assert err == ("error: compare supports families "
                            f"('dihedral-inf', 'free', 'free-abelian'), got '{family}'\n")
+
+    @pytest.mark.parametrize("family", [f for f, fam in cli.FAMILIES.items() if fam.series])
+    def test_series_and_classes_match_the_oracle(self, family):
+        group = {"free": oracle.FreeGroup(2), "free-abelian": oracle.FreeAbelian(2),
+                 "lamplighter": oracle.Lamplighter(), "dihedral-inf": oracle.DihedralInfinite(),
+                 "heisenberg": oracle.Heisenberg()}[family]
+        cfg = RunConfig(family)
+        _, spheres = oracle.ball_enumerate(group, 4)
+        assert list(itertools.islice(cli._series(cfg), 5)) == spheres
+        table = oracle.conjugacy_classes(group, 4, slack=4)
+        assert table.stable
+        assert cli.FAMILIES[family].classes(cfg, 4) == list(table.sphere_classes)
+
+    def test_formula_families_grow_without_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("growth enumerated elements")
+
+        monkeypatch.setattr(oracle, "ball_enumerate", refuse)
+        monkeypatch.setattr(lamplighter, "elements_by_length", refuse)
+        monkeypatch.setattr(raag.Raag, "elements", refuse)
+        for family in ("free", "free-abelian", "lamplighter", "dihedral-inf", "heisenberg"):
+            code, out, err = run_cli(["growth", "--family", family, "--max-n", "12"])
+            assert (code, err) == (0, "")
+            assert rows(out)[-1][0] == "12"
 
 
 class TestNecklace:

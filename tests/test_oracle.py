@@ -1,6 +1,7 @@
 """Brute-force Cayley-graph oracle: BFS, conjugation closure, comparisons."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from conjratio.oracle import (
     key_class_counts,
     with_generators,
 )
+from conjratio.sequences import iter_series
 
 triples = st.tuples(
     st.integers(-4, 4), st.integers(-4, 4), st.integers(-8, 8)
@@ -366,6 +368,25 @@ class TestHeisenbergKey:
         dist, _ = ball_enumerate(Heisenberg(), 6)
         _, cum = key_class_counts(dist, heisenberg_conjugacy_key, 6)
         assert cum == [1, 5, 13, 25, 51, 79, 133]
+
+
+class TestClosedForms:
+    def test_heisenberg_series_and_classes_match_the_bfs(self):
+        # 31 terms are more than twice the order-8 recurrence, so they pin the series
+        dist, spheres = oracle.ball_enumerate(oracle.Heisenberg(), 30)
+        assert list(islice(iter_series(*oracle.HEISENBERG_SERIES), 31)) == spheres
+        classes, _ = oracle.key_class_counts(dist, oracle.heisenberg_conjugacy_key, 30)
+        assert oracle.heisenberg_class_spheres(30) == classes
+
+    def test_dihedral_series_and_classes_match_the_bfs(self):
+        dist, spheres = oracle.ball_enumerate(oracle.DihedralInfinite(), 40)
+        assert list(islice(iter_series(*oracle.DIHEDRAL_SERIES), 41)) == spheres
+        classes, _ = oracle.key_class_counts(dist, oracle.dihedral_conjugacy_key, 40)
+        assert oracle.dihedral_class_spheres(40) == classes
+
+    def test_class_formulas_at_small_radii(self):
+        assert oracle.dihedral_class_spheres(0) == oracle.heisenberg_class_spheres(0) == [1]
+        assert oracle.dihedral_class_spheres(1) == [1, 2]
 
 
 class TestKeyClassCounts:

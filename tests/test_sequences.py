@@ -1,19 +1,22 @@
 """Exact sequence utilities: ratios, transforms, estimates, rendering."""
 
+import time
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conjratio import free_group, oracle
+from conjratio import free_group, lamplighter, oracle
 from conjratio.sequences import (
     MODE_GEOMETRIC,
     MODE_INCREMENT,
-    CountSequence,
     check_ratio_vanishes,
     convolve,
     decimal_str,
+    iter_series,
     ratio,
     stolz_cesaro,
     window_estimate,
@@ -32,50 +35,47 @@ def accumulate(values):
     return tuple(out)
 
 
-class TestCountSequence:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CountSequence((1,), "radius")
+def terms(numer, denom, n):
+    return list(islice(iter_series(numer, denom), n))
 
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            CountSequence((), "ball")
-        with pytest.raises(ValueError):
-            CountSequence((1, -1), "sphere")
 
-    def test_ball_invariants(self):
-        with pytest.raises(ValueError):
-            CountSequence((0,), "ball")  # identity missing
-        with pytest.raises(ValueError):
-            CountSequence((1, 3, 2), "conjugacy-ball")  # decreasing
-        seq = CountSequence((1, 3, 5), "ball")
-        assert seq[1] == 3 and len(seq) == 3
+class TestIterSeries:
+    def test_free_group_spheres(self):
+        assert terms((1, 1), (1, -3), 6) == [1, 4, 12, 36, 108, 324]
 
-    @given(ball_values)
-    def test_sphere_ball_roundtrip(self, incs):
-        balls = CountSequence(accumulate(incs), "ball")
-        spheres = balls.to_spheres()
-        assert spheres.kind == "sphere"
-        assert spheres.values[0] == balls.values[0]
-        assert spheres.to_ball() == balls
+    def test_free_abelian_spheres(self):
+        # ((1 + x) / (1 - x))^3: 4n^2 + 2 from n = 1
+        assert terms((1, 3, 3, 1), (1, -3, 3, -1), 6) == [1, 6, 18, 38, 66, 102]
 
-    def test_conversion_direction_is_checked(self):
+    def test_lamplighter_spheres(self):
+        # the BFS sphere sizes pinned in tests/test_lamplighter.py
+        assert terms(*lamplighter.SERIES, 15) == [
+            1, 3, 6, 12, 22, 40, 71, 123, 212, 360, 607, 1017, 1693, 2807, 4635]
+
+    def test_polynomial_over_one_ends_in_zeros(self):
+        assert terms((1, 2, 3), (1,), 5) == [1, 2, 3, 0, 0]
+
+    @pytest.mark.parametrize("denom", [(2, 1), (0, 1), ()])
+    def test_denominator_must_start_with_one(self, denom):
         with pytest.raises(ValueError):
-            CountSequence((1, 2), "sphere").to_spheres()
-        with pytest.raises(ValueError):
-            CountSequence((1, 2), "ball").to_ball()
+            next(iter_series((1,), denom))
+
+    def test_reads_the_polynomials_lazily(self):
+        # ((1 + x) / (1 - x))^d at d = 10^6, whose binomials are never all built
+        dim = 10 ** 6
+        numer = (comb(dim, k) for k in range(dim + 1))
+        denom = ((-1) ** k * comb(dim, k) for k in range(dim + 1))
+        start = time.perf_counter()
+        assert terms(numer, denom, 3) == [1, 2 * dim, 2 * dim * dim]
+        assert time.perf_counter() - start < 1
 
 
 class TestRatio:
     def test_singleton_classes(self):
-        classes = CountSequence((1, 3, 5), "conjugacy-ball")
-        elements = CountSequence((1, 3, 5), "ball")
-        assert ratio(classes, elements) == (Fraction(1),) * 3
+        assert ratio((1, 3, 5), (1, 3, 5)) == (Fraction(1),) * 3
 
     def test_forced_arithmetic(self):
-        classes = CountSequence((1, 1, 1), "conjugacy-ball")
-        elements = CountSequence((1, 5, 13), "ball")
-        assert ratio(classes, elements) == (
+        assert ratio((1, 1, 1), (1, 5, 13)) == (
             Fraction(1),
             Fraction(1, 5),
             Fraction(1, 13),
@@ -84,20 +84,16 @@ class TestRatio:
     def test_free_group_value_at_three(self):
         # class count at radius 3 cross-derived from the brute-force oracle
         table = oracle.conjugacy_classes(oracle.FreeGroup(2), 3, slack=2)
-        classes = CountSequence(tuple(table.ball_classes), "conjugacy-ball")
-        elements = CountSequence(tuple(free_group.ball_counts(2, 3)), "ball")
+        elements = free_group.ball_counts(2, 3)
         assert elements[3] == 53
-        assert ratio(classes, elements)[3] == Fraction(table.ball_classes[3], 53)
+        assert ratio(table.ball_classes, elements)[3] == Fraction(table.ball_classes[3], 53)
         assert table.ball_classes[3] == 25
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            ratio(
-                CountSequence((1, 1), "conjugacy-ball"),
-                CountSequence((1, 2, 3), "ball"),
-            )
+            ratio((1, 1), (1, 2, 3))
         with pytest.raises(ZeroDivisionError):
-            ratio(CountSequence((0, 1), "sphere"), CountSequence((0, 1), "sphere"))
+            ratio((0, 1), (0, 1))
 
     def test_conjugacy_over_elements_stays_within_unit(self):
         for rank in (1, 2, 3):
@@ -158,15 +154,12 @@ class TestConvolve:
     @given(ball_values, ball_values)
     def test_differencing_commutes_with_convolution(self, a_incs, b_incs):
         n = min(len(a_incs), len(b_incs))
-        left = CountSequence(accumulate(a_incs[:n]), "ball")
-        right = CountSequence(accumulate(b_incs[:n]), "ball")
-        product_ball = convolve(list(left.values), list(right.to_spheres().values))
+        left_spheres, right_spheres = list(a_incs[:n]), list(b_incs[:n])
+        product_ball = convolve(list(accumulate(left_spheres)), right_spheres)
         diffs = [product_ball[0]] + [
             b - a for a, b in zip(product_ball, product_ball[1:])
         ]
-        assert diffs == convolve(
-            list(left.to_spheres().values), list(right.to_spheres().values)
-        )
+        assert diffs == convolve(left_spheres, right_spheres)
 
 
 class TestWindowEstimate:
