@@ -175,11 +175,9 @@ def _compare_dihedral(cfg: RunConfig):
 
 def _compare_free(cfg: RunConfig):
     group = oracle.FreeGroup(cfg.rank)
-    standard = [(c,) for c in range(0, 2 * cfg.rank, 2)]
-    if cfg.rank == 1:
-        extended = [(0, 0), (0, 0, 0)]
-    else:
-        extended = standard + [(0, 2)]
+    standard = [chr(c) for c in range(0, 2 * cfg.rank, 2)]  # a, b, ...
+    a, b = "\x00", "\x02"
+    extended = [a * 2, a * 3] if cfg.rank == 1 else standard + [a + b]
     return group, standard, extended, free_group.conj_key
 
 
@@ -196,6 +194,8 @@ def run_compare(cfg: RunConfig) -> str:
     if family.compare is None:
         supported = tuple(sorted(name for name, f in FAMILIES.items() if f.compare))
         raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
+    # B(2) of gens_x, the family series' set, is the first ball _check_generates enumerates
+    _charge_budget(_series(cfg), 2)
     group, gens_x, gens_y, key = family.compare(cfg)
     report = oracle.generating_set_comparison(
         group, gens_x, gens_y, cfg.max_n, window=cfg.window, key=key)
@@ -255,13 +255,13 @@ def run_necklace(path: str, fmt: str) -> str:
 # validation suites: (name, radius, passed) triples per family
 
 
-def _closure(cfg: RunConfig, group, n: int, default_slack: int):
+def _closure(cfg: RunConfig, make_group: Callable, n: int, default_slack: int):
     """The oracle's closure over B(n + slack). A family with a sphere series
-    charges the budget with it before the closure's enumeration."""
+    charges the budget with it before the group is built and enumerated."""
     slack = default_slack if cfg.slack is None else cfg.slack
     if FAMILIES[cfg.family].series is not None:
         _charge_budget(_series(cfg), n + slack)
-    return oracle.conjugacy_classes(group, n, slack=slack)
+    return oracle.conjugacy_classes(make_group(), n, slack=slack)
 
 
 def _partitions_agree(key: Callable, class_of: dict) -> bool:
@@ -282,7 +282,7 @@ def _oracle_rows(family: str, table: oracle.ConjugacyTable,
 
 def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 8)
-    table = _closure(cfg, oracle.FreeGroup(cfg.rank), n, 2)
+    table = _closure(cfg, lambda: oracle.FreeGroup(cfg.rank), n, 2)
     strict = free_group.cyclically_reduced_counts(cfg.rank, max(n, 6))
     necklaces = cycrep_counts(strict)
     identity_ok = all(
@@ -303,7 +303,7 @@ def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 5)
     graph = cfg.graph()
     counts = raag.counts(graph, n)
-    table = _closure(cfg, oracle.RaagGroup(graph), n, 2)
+    table = _closure(cfg, lambda: oracle.RaagGroup(graph), n, 2)
     return [
         ("raag: ball counts vs oracle BFS", n, list(table.spheres) == counts.sphere),
         ("raag: conjugacy counts vs oracle", n,
@@ -314,7 +314,7 @@ def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 7)
-    table = _closure(cfg, oracle.Lamplighter(), n, max(n, 1))
+    table = _closure(cfg, oracle.Lamplighter, n, max(n, 1))
     return [
         ("lamplighter: metric formula vs BFS distance", n,
          all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)),
@@ -328,7 +328,7 @@ def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6 if cfg.dim <= 3 else 4)
-    table = _closure(cfg, oracle.FreeAbelian(cfg.dim), n, 2)
+    table = _closure(cfg, lambda: oracle.FreeAbelian(cfg.dim), n, 2)
     balls = list(accumulate(islice(_series(cfg), n + 1)))
     return [
         ("free-abelian: convolution balls vs oracle BFS", n,
@@ -341,7 +341,7 @@ def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 16)
-    table = _closure(cfg, oracle.DihedralInfinite(), n, 4)
+    table = _closure(cfg, oracle.DihedralInfinite, n, 4)
     return [
         ("dihedral-inf: ball size 2n+1", n,
          list(accumulate(table.spheres)) == [2 * m + 1 for m in range(n + 1)]),
@@ -353,7 +353,7 @@ def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 6)
-    table = _closure(cfg, oracle.Heisenberg(), n, max(n, 1))
+    table = _closure(cfg, oracle.Heisenberg, n, max(n, 1))
     return _oracle_rows("heisenberg", table, oracle.heisenberg_conjugacy_key)
 
 

@@ -1,8 +1,10 @@
 """Free groups of finite rank: reduced words, exact counts, conjugacy keys.
 
-Elements are tuples of letter codes (see words.py) with no adjacent
-cancelling pair. Conjugacy classes are keyed by the least rotation of the
-cyclic reduction, which is a complete invariant here.
+An element is a reduced ``str``: letter code c (see words.py) is ``chr(c)``,
+so string order is letter order; ``chr`` stops at 0x10FFFF, so the rank is at
+most ``MAX_RANK`` = 557,056. ``reduce_word`` makes an element from letter
+codes or a ``str``; the other kernels take reduced words. Conjugacy classes
+are keyed by the least rotation of the cyclic reduction, a complete invariant.
 
 Every count is a closed form: spheres 2k(2k-1)^(n-1), cyclically reduced
 words (2k-1)^n + 1 + (k-1)(1 + (-1)^n) (Rivin, *Growth in free groups*),
@@ -17,58 +19,56 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .sequences import iter_series
-from .words import cycrep_counts, inverse_code, least_rotation
+from .words import cycrep_counts, least_rotation
 
-Word = tuple[int, ...]
+Word = str
 
-# the word kernels below inline inverse_code(c) as c ^ 1
+MAX_RANK = 0x110000 // 2
 
 
-def reduce_word(word: Sequence[int]) -> Word:
-    out: list[int] = []
-    for c in word:
-        if out and out[-1] == c ^ 1:
+def reduce_word(word: str | Sequence[int]) -> Word:
+    """Free reduction of a ``str`` or of a sequence of letter codes."""
+    out: list[str] = []
+    for x in word if isinstance(word, str) else map(chr, word):
+        if out and ord(out[-1]) == ord(x) ^ 1:
             out.pop()
         else:
-            out.append(c)
-    return tuple(out)
+            out.append(x)
+    return "".join(out)
 
 
-def multiply(x: Sequence[int], y: Sequence[int]) -> Word:
-    out = list(x)
-    for c in y:
-        if out and out[-1] == c ^ 1:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+def multiply(x: Word, y: Word) -> Word:
+    """x y for reduced x, y: cancel at the seam, join the two slices."""
+    if not (x and y) or ord(x[-1]) != ord(y[0]) ^ 1:
+        return x + y
+    k, limit = 1, min(len(x), len(y))
+    while k < limit and ord(x[-1 - k]) == ord(y[k]) ^ 1:
+        k += 1
+    return x[:len(x) - k] + y[k:]
 
 
-def invert(word: Sequence[int]) -> Word:
-    return tuple(c ^ 1 for c in reversed(word))
+def invert(word: Word) -> Word:
+    return word.translate({c: c ^ 1 for c in map(ord, word)})[::-1]
 
 
-def is_reduced(word: Sequence[int]) -> bool:
-    return all(word[i + 1] != inverse_code(word[i]) for i in range(len(word) - 1))
+def is_reduced(word: Word) -> bool:
+    return all(ord(x) != ord(y) ^ 1 for x, y in zip(word, word[1:]))
 
 
-def cyclic_reduce(word: Sequence[int]) -> Word:
-    w = reduce_word(word)
-    i, j = 0, len(w) - 1
-    while i < j and w[i] == w[j] ^ 1:
+def cyclic_reduce(word: Word) -> Word:
+    """The cyclically reduced core of a reduced word."""
+    i, j = 0, len(word) - 1
+    while i < j and ord(word[i]) == ord(word[j]) ^ 1:
         i += 1
         j -= 1
-    return w[i:j + 1]
+    return word[i:j + 1]
 
 
-def is_cyclically_reduced(word: Sequence[int]) -> bool:
-    w = tuple(word)
-    if not is_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != inverse_code(w[-1])
+def is_cyclically_reduced(word: Word) -> bool:
+    return is_reduced(word) and (len(word) < 2 or ord(word[0]) != ord(word[-1]) ^ 1)
 
 
-def conj_key(word: Sequence[int]) -> Word:
+def conj_key(word: Word) -> Word:
     """Complete conjugacy invariant: least rotation of the cyclic reduction."""
     return least_rotation(cyclic_reduce(word))
 
@@ -97,19 +97,19 @@ def _reduced_words(rank: int, length: int) -> Iterator[Word]:
     """All reduced words of exactly the given length, DFS over last letters."""
     # no counter calls this; it stays as the enumeration hook perfbench/tracer.py wraps
     if length == 0:
-        yield ()
+        yield ""
         return
-    alphabet = range(2 * rank)
-    stack: list[Word] = [(c,) for c in reversed(alphabet)]
+    alphabet = [chr(c) for c in range(2 * rank)]
+    stack: list[Word] = alphabet[::-1]
     while stack:
         w = stack.pop()
         if len(w) == length:
             yield w
             continue
-        last = w[-1]
-        for c in alphabet:
-            if c != inverse_code(last):
-                stack.append(w + (c,))
+        last = ord(w[-1]) ^ 1
+        for x in alphabet:
+            if ord(x) != last:
+                stack.append(w + x)
 
 
 def cyclically_reduced_counts(rank: int, max_n: int) -> list[int]:

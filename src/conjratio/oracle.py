@@ -66,11 +66,14 @@ def with_generators(group: Group, generators: Iterable) -> Group:
 
 
 def FreeGroup(rank: int) -> Group:
-    """Free group of finite rank over reduced letter-code words."""
+    """Free group of finite rank over reduced ``str`` words (see free_group)."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    gens = tuple((c,) for c in range(2 * rank))
-    return Group((), gens, free_group.multiply, free_group.invert)
+    if rank > free_group.MAX_RANK:
+        raise ValueError(f"rank must be at most {free_group.MAX_RANK}, "
+                         "one str character per letter")
+    gens = tuple(map(chr, range(2 * rank)))
+    return Group("", gens, free_group.multiply, free_group.invert)
 
 
 def FreeAbelian(dim: int) -> Group:

@@ -4,7 +4,7 @@ Letters are encoded as small ints: generator i maps to 2*i and its inverse
 to 2*i + 1, so the natural int order realises the default letter order
 a_1 < a_1^-1 < a_2 < a_2^-1 < ...  The rotation utilities accept any
 sequence of mutually comparable items, which lets the same code canonise
-0/1 parity vectors.
+0/1 parity vectors and free-group ``str`` words (see free_group.py).
 """
 
 from __future__ import annotations
@@ -43,12 +43,38 @@ def rotate(word: Sequence[Item], k: int) -> tuple[Item, ...]:
     return w[k:] + w[:k]
 
 
-def least_rotation(word: Sequence[Item], order: Optional[Callable] = None) -> tuple[Item, ...]:
-    """Lexicographically least cyclic rotation, Booth's algorithm, O(n).
+def least_rotation(word: Sequence[Item], order: Optional[Callable] = None) -> Sequence[Item]:
+    """Lexicographically least cyclic rotation.
 
-    ``order`` maps an item to its comparison key; by default items compare
-    natively, which is already correct for encoded letters and for bits.
+    A ``str`` (without ``order``) gives a ``str``, by C-level scans: the
+    smallest period p from ``(w + w).find(w, 1)``, then the least of the
+    root's rotations that start at its least letter, repeated n / p times.
+    Worst case O(n * occurrences of the least letter) character comparisons,
+    on a primitive word.
+
+    Any other sequence gives a tuple, by Booth's algorithm, O(n). ``order``
+    maps an item to its comparison key; by default items compare natively,
+    which is already correct for encoded letters and for bits.
     """
+    if order is not None or not isinstance(word, str):
+        return _booth(word, order)
+    n = len(word)
+    if n <= 1:
+        return word
+    ww = word + word
+    p = ww.find(word, 1)
+    least = min(word)
+    best = word[:p]
+    i = ww.find(least)
+    while i < p:  # ww has period p, so a later occurrence always exists
+        candidate = ww[i:i + p]
+        if candidate < best:
+            best = candidate
+        i = ww.find(least, i + 1)
+    return best * (n // p)
+
+
+def _booth(word: Sequence[Item], order: Optional[Callable]) -> tuple[Item, ...]:
     w = tuple(word)
     n = len(w)
     if n <= 1:

@@ -12,12 +12,14 @@ import io
 import itertools
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conjratio import cli, lamplighter, oracle, raag
+from conjratio import cli, free_group, lamplighter, oracle, raag
 from conjratio.cli import RunConfig
+from conjratio.sequences import decimal_str
 
 
 def run_cli(argv):
@@ -287,6 +289,33 @@ class TestTruncation:
         assert run_cli(["validate", *argv]) == (
             2, "", f"error: element budget {ball - 1} exceeded; completed radius {outer - 1}\n")
 
+    @pytest.mark.parametrize("verb", ["validate", "compare"])
+    @pytest.mark.parametrize("argv,budget,err", [
+        # the group (dim unit vectors of length dim) is built only after the charge
+        (["--family", "free-abelian", "--dim", "2000", "--max-n", "4"], "200000",
+         "element budget 200000 exceeded; completed radius 1"),
+        (["--family", "free", "--rank", "600000", "--max-n", "3"], None,
+         "element budget 5000000 exceeded; completed radius 1"),
+        # |B(2)| = 1,241,250,004,997 fits this budget; a letter is one str character
+        (["--family", "free", "--rank", "557057", "--max-n", "0"],
+         str(10 ** 13), "rank must be at most 557056, one str character per letter"),
+    ], ids=["Z^2000", "F600000", "rank-cap"])
+    def test_compare_and_validate_charge_before_building_the_group(
+            self, monkeypatch, verb, argv, budget, err):
+        if budget is None:
+            monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+        start = time.perf_counter()
+        assert run_cli([verb, *argv]) == (2, "", f"error: {err}\n")
+        assert time.perf_counter() - start < 0.5
+
+    def test_free_growth_has_no_rank_cap(self):
+        code, out, err = run_cli(["growth", "--family", "free", "--rank", "600000",
+                                  "--max-n", "1"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("1,1200001,1200000,")
+
     def test_bad_budget_value_is_an_error(self, monkeypatch):
         monkeypatch.setenv("CONJRATIO_BUDGET", "soon")
         code, _, err = run_cli(["growth", "--family", "free", "--max-n", "3"])
@@ -319,6 +348,13 @@ class TestCompare:
             vals = [r[col] for r in body]
             assert all(vals[n] >= vals[n + 1] for n in range(10))
             assert all(vals[n] > vals[n + 1] for n in range(1, 10))
+        # x, the standard basis: the closed forms
+        closed = zip(free_group.conjugacy_ball_counts(2, 10), free_group.ball_counts(2, 10))
+        assert [r[1] for r in body] == [decimal_str(Fraction(c, b)) for c, b in closed]
+        # y, {a, b, ab}: balls 2^(2n+1) - 1 and class counts pinned in test_free_group.py
+        classes = [1, 7, 19, 45, 117, 327, 1029, 3375, 11607]
+        assert [r[2] for r in body[:9]] == [
+            decimal_str(Fraction(c, 2 ** (2 * n + 1) - 1)) for n, c in enumerate(classes)]
 
     def test_json_reports_window_estimates(self):
         _, out, _ = run_cli(["compare", "--family", "dihedral-inf", "--max-n", "40",

@@ -9,20 +9,29 @@ from hypothesis import strategies as st
 
 from conjratio import free_group as fg
 from conjratio import oracle
-from conjratio.words import inverse_code, parse_word, rotate
+from conjratio.words import inverse_code, parse_word
 
 rank2_letters = st.integers(min_value=0, max_value=3)
 rank2_words = st.lists(rank2_letters, min_size=0, max_size=10).map(tuple)
+# group elements: reduced str words
+reduced2 = rank2_words.map(fg.reduce_word)
+# rank 300: letters up to chr(599), past Latin-1
+reduced300 = st.lists(st.integers(min_value=0, max_value=599), max_size=10).map(fg.reduce_word)
+
+
+def free_word(codes):
+    """The free-group element spelled by reduced letter codes."""
+    return "".join(map(chr, codes))
 
 
 def all_reduced_words(rank, length):
     if length == 0:
-        yield ()
+        yield free_word(())
         return
     for w in all_reduced_words(rank, length - 1):
         for c in range(2 * rank):
-            if not w or w[-1] != inverse_code(c):
-                yield w + (c,)
+            if not w or ord(w[-1]) != inverse_code(c):
+                yield w + free_word((c,))
 
 
 def ball_words(rank, radius):
@@ -34,54 +43,89 @@ def ball_words(rank, radius):
 
 class TestReduction:
     def test_cancellation(self):
-        assert fg.reduce_word(parse_word("aA")) == ()
-        assert fg.reduce_word(parse_word("abBA")) == ()
-        assert fg.reduce_word(parse_word("abA")) == parse_word("abA")
+        assert fg.reduce_word(parse_word("aA")) == free_word(())
+        assert fg.reduce_word(parse_word("abBA")) == free_word(())
+        assert fg.reduce_word(parse_word("abA")) == free_word(parse_word("abA"))
 
     @given(rank2_words)
     def test_reduced_output_has_no_adjacent_inverses(self, w):
         r = fg.reduce_word(w)
         assert fg.is_reduced(r)
-        assert all(a != inverse_code(b) for a, b in zip(r, r[1:]))
+        assert all(ord(a) != inverse_code(ord(b)) for a, b in zip(r, r[1:]))
 
-    @given(rank2_words, rank2_words, rank2_words)
+    @given(reduced2, reduced2, reduced2)
     def test_multiply_associative(self, x, y, z):
         assert fg.multiply(fg.multiply(x, y), z) == fg.multiply(x, fg.multiply(y, z))
 
-    @given(rank2_words)
+    @given(reduced2)
     def test_inverse(self, w):
-        assert fg.multiply(w, fg.invert(w)) == ()
-        assert fg.multiply(fg.invert(w), w) == ()
+        assert fg.multiply(w, fg.invert(w)) == free_word(())
+        assert fg.multiply(fg.invert(w), w) == free_word(())
+
+
+class TestGroupLaws:
+    """The str kernels against free reduction of the concatenation."""
+
+    @given(reduced300, reduced300)
+    def test_multiply_is_reduced_concatenation(self, x, y):
+        assert fg.multiply(x, y) == fg.reduce_word(x + y)
+        assert fg.is_reduced(fg.multiply(x, y))
+
+    @given(reduced300)
+    def test_identity_and_inverse(self, w):
+        assert fg.multiply(w, "") == fg.multiply("", w) == w
+        assert fg.multiply(w, fg.invert(w)) == fg.multiply(fg.invert(w), w) == ""
+        assert fg.invert(fg.invert(w)) == w
+        assert fg.invert(w) == free_word(inverse_code(ord(x)) for x in reversed(w))
+
+    @given(reduced300, reduced300)
+    def test_invert_reverses_products(self, x, y):
+        assert fg.invert(fg.multiply(x, y)) == fg.multiply(fg.invert(y), fg.invert(x))
+
+    @given(reduced300, reduced300)
+    def test_key_is_a_class_invariant(self, w, z):
+        key = fg.conj_key(w)
+        assert isinstance(key, str) and fg.is_cyclically_reduced(key)
+        assert fg.conj_key(fg.multiply(fg.multiply(z, w), fg.invert(z))) == key
+        # x y and y x are conjugate
+        assert fg.conj_key(fg.multiply(w, z)) == fg.conj_key(fg.multiply(z, w))
+
+    def test_rank_cap(self):
+        assert oracle.FreeGroup(3).generators == tuple(map(free_word, ((0,), (1,), (2,),
+                                                                        (3,), (4,), (5,))))
+        assert ord(chr(2 * fg.MAX_RANK - 1)) == 0x10FFFF  # the last code point
+        with pytest.raises(ValueError, match="rank must be at most 557056"):
+            oracle.FreeGroup(fg.MAX_RANK + 1)
 
 
 class TestCyclicReduction:
     def test_examples(self):
-        assert fg.cyclic_reduce(parse_word("abA")) == parse_word("b")
-        assert fg.cyclic_reduce(parse_word("ab")) == parse_word("ab")
-        assert fg.cyclic_reduce(parse_word("abbA")) == parse_word("bb")
+        assert fg.cyclic_reduce(free_word(parse_word("abA"))) == free_word(parse_word("b"))
+        assert fg.cyclic_reduce(free_word(parse_word("ab"))) == free_word(parse_word("ab"))
+        assert fg.cyclic_reduce(free_word(parse_word("abbA"))) == free_word(parse_word("bb"))
 
     def test_reduction_is_witnessed_by_short_conjugator(self):
         # some z with |z| <= 2 conjugates the output back to the input
-        w = parse_word("abbA")
+        w = free_word(parse_word("abbA"))
         core = fg.cyclic_reduce(w)
         witnesses = [
             z
             for z in ball_words(2, 2)
             if fg.multiply(fg.multiply(z, core), fg.invert(z)) == w
         ]
-        assert parse_word("a") in witnesses
+        assert free_word(parse_word("a")) in witnesses
 
     @given(rank2_words)
     def test_output_cyclically_reduced_and_conjugate(self, w):
         core = fg.cyclic_reduce(fg.reduce_word(w))
         assert fg.is_cyclically_reduced(core)
         assert len(core) <= len(fg.reduce_word(w))
-        assert fg.conj_key(core) == fg.conj_key(w)
+        assert fg.conj_key(core) == fg.conj_key(fg.reduce_word(w))
 
     def test_is_cyclically_reduced(self):
-        assert fg.is_cyclically_reduced(parse_word("ab"))
-        assert not fg.is_cyclically_reduced(parse_word("abA"))
-        assert fg.is_cyclically_reduced(())
+        assert fg.is_cyclically_reduced(free_word(parse_word("ab")))
+        assert not fg.is_cyclically_reduced(free_word(parse_word("abA")))
+        assert fg.is_cyclically_reduced(free_word(()))
 
 
 class TestCounts:
@@ -138,16 +182,16 @@ class TestCyclicallyReducedCounts:
 
 
 class TestConjKey:
-    @given(rank2_words, rank2_words)
+    @given(reduced2, reduced2)
     def test_invariant_under_conjugation(self, w, z):
         conj = fg.multiply(fg.multiply(z, w), fg.invert(z))
         assert fg.conj_key(conj) == fg.conj_key(w)
 
     @given(rank2_words)
     def test_key_is_rotation_canonical(self, w):
-        key = fg.conj_key(w)
+        key = fg.conj_key(fg.reduce_word(w))
         assert fg.is_cyclically_reduced(key)
-        assert all(key <= rotate(key, k) for k in range(max(1, len(key))))
+        assert all(key <= key[k:] + key[:k] for k in range(max(1, len(key))))
 
     def test_same_key_pairs_have_explicit_conjugators(self):
         # peel both words to their cyclically reduced cores, align the cores
@@ -184,12 +228,12 @@ class TestConjKey:
 
 def peel(word):
     """Split a reduced word as (prefix, core) with word = prefix core prefix^-1."""
-    w = list(word)
-    prefix = []
-    while len(w) >= 2 and w[0] == inverse_code(w[-1]):
-        prefix.append(w[0])
+    w = word
+    prefix = ""
+    while len(w) >= 2 and ord(w[0]) == inverse_code(ord(w[-1])):
+        prefix += w[0]
         w = w[1:-1]
-    return tuple(prefix), tuple(w)
+    return prefix, w
 
 
 def conjugator_witness(target, source):
@@ -197,10 +241,22 @@ def conjugator_witness(target, source):
     p, c = peel(target)
     q, d = peel(source)
     for k in range(max(1, len(c))):
-        if rotate(c, k) == d:
+        if c[k:] + c[:k] == d:
             # c = s t, d = t s = s^-1 c s, so target = (p s) d (p s)^-1
-            return fg.reduce_word(p + c[:k] + tuple(map(inverse_code, reversed(q))))
+            q_inv = free_word(inverse_code(ord(x)) for x in reversed(q))
+            return fg.reduce_word(p + c[:k] + q_inv)
     raise AssertionError(f"cores {c} and {d} are not rotations")
+
+
+class TestExtendedGeneratingSet:
+    def test_balls_and_classes_under_a_b_ab(self):
+        # the y side of compare --family free: {a, b, ab}^+-1 at rank 2
+        a, b = free_word((0,)), free_word((2,))
+        group = oracle.with_generators(oracle.FreeGroup(2), [a, b, a + b])
+        dist, spheres = oracle.ball_enumerate(group, 8)
+        assert list(itertools.accumulate(spheres)) == [2 ** (2 * n + 1) - 1 for n in range(9)]
+        _, classes = oracle.key_class_counts(dist, fg.conj_key, 8)
+        assert classes == [1, 7, 19, 45, 117, 327, 1029, 3375, 11607]
 
 
 class TestConjugacyCounts:

@@ -31,6 +31,12 @@ from conjratio.oracle import (
 )
 from conjratio.sequences import iter_series
 
+
+def free_word(codes):
+    """The free-group element spelled by reduced letter codes."""
+    return "".join(map(chr, codes))
+
+
 triples = st.tuples(
     st.integers(-4, 4), st.integers(-4, 4), st.integers(-8, 8)
 )
@@ -130,7 +136,7 @@ class TestAdapters:
                 assert left == right
 
     @pytest.mark.parametrize("group,generators", [
-        (FreeGroup(2), ((0,), (1,), (2,), (3,))),
+        (FreeGroup(2), tuple(map(free_word, ((0,), (1,), (2,), (3,))))),
         (FreeAbelian(2), ((1, 0), (0, 1), (-1, 0), (0, -1))),
         (DihedralInfinite(), ((0,), (1,))),
         (Heisenberg(), ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))),
@@ -198,8 +204,8 @@ class TestBallEnumerate:
 
     def test_rejects_generators_not_closed_under_inversion(self):
         class Skewed:
-            identity = ()
-            generators = ((0,),)
+            identity = free_word(())
+            generators = (free_word((0,)),)
 
             def multiply(self, x, y):
                 return fg.multiply(x, y)
@@ -283,7 +289,7 @@ class TestConjugacyClasses:
         pytest.param(Lamplighter(), 4, id="lamplighter"),
         pytest.param(RaagGroup(raag.path_graph(3)), 3, id="raag-p3"),
         pytest.param(RaagGroup(raag.empty_graph(2)), 3, id="raag-empty2"),
-        pytest.param(with_generators(FreeGroup(2), [(0,), (2,), (0, 2)]), 2,
+        pytest.param(with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2,
                      id="free2-view"),
         pytest.param(SymmetricGroup4(), 2, id="s4"),
     ])
@@ -427,8 +433,8 @@ class TestGeneratingSetComparison:
     def test_free_group_under_enlarged_set(self):
         g = FreeGroup(2)
         extra = g.generators + (
-            (0, 2),
-            fg.invert((0, 2)),
+            free_word((0, 2)),
+            fg.invert(free_word((0, 2))),
         )
         report = generating_set_comparison(
             g, g.generators, extra, 6, key=fg.conj_key

@@ -1,5 +1,7 @@
 """Rotation, primitivity and necklace-counting machinery."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,25 @@ class TestRotation:
         # reversing the order turns "least" into "greatest"
         flipped = least_rotation(w, order=lambda x: -x)
         assert flipped == brute_least_rotation(w, key=lambda x: -x)
+
+    def test_str_path_matches_booth_on_every_short_word(self):
+        # all 349,520 words over 4 letters of lengths 2..9, letter code c as chr(c)
+        for n in range(2, 10):
+            texts = ["".join(w) for w in itertools.product("\0\1\2\3", repeat=n)]
+            booth = [bytes(least_rotation(w)).decode("latin-1")
+                     for w in itertools.product(range(4), repeat=n)]
+            assert list(map(least_rotation, texts)) == booth
+
+    def test_str_path_returns_str(self):
+        assert least_rotation("cab") == "abc"
+        assert least_rotation("") == "" and least_rotation("z") == "z"
+        assert least_rotation("\u0301\u0300\u0301") == "\u0300\u0301\u0301"
+
+    def test_str_path_is_linear_on_uniform_words(self):
+        # the period step: without it every position is a candidate, n^2 work
+        start = time.perf_counter()
+        assert least_rotation(chr(0) * 100_000) == chr(0) * 100_000
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPrimitivity:
