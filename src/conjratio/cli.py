@@ -77,9 +77,11 @@ class GrowthData:
     truncated: bool = False  # True when the budget cut the table short of max_n
 
 
-def _series(cfg: RunConfig) -> Iterator[int]:
-    """|S(0)|, |S(1)|, ... without end, from the family's rational series."""
-    return iter_series(*FAMILIES[cfg.family].series(cfg))
+def _series(cfg: RunConfig) -> Optional[Iterator[int]]:
+    """|S(0)|, |S(1)|, ... without end, from the family's rational series;
+    None where the family declares none (a RAAG over a non-cograph)."""
+    series = FAMILIES[cfg.family].series(cfg)
+    return None if series is None else iter_series(*series)
 
 
 def _free_abelian_series(cfg: RunConfig):
@@ -102,11 +104,11 @@ def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
 
 
 def _growth_data(cfg: RunConfig, max_n: int) -> GrowthData:
-    family = FAMILIES[cfg.family]
-    if family.series is None:  # raag: its enumeration charges the budget
+    spheres = _series(cfg)
+    if spheres is None:  # a raag over a non-cograph: its enumeration charges the budget
         counts = raag.counts(cfg.graph(), max_n)
         return GrowthData(counts.sphere, counts.conj_sphere)
-    return GrowthData(_charge_budget(_series(cfg), max_n), family.classes(cfg, max_n))
+    return GrowthData(_charge_budget(spheres, max_n), FAMILIES[cfg.family].classes(cfg, max_n))
 
 
 def _growth_with_truncation(cfg: RunConfig) -> GrowthData:
@@ -259,8 +261,9 @@ def _closure(cfg: RunConfig, make_group: Callable, n: int, default_slack: int):
     """The oracle's closure over B(n + slack). A family with a sphere series
     charges the budget with it before the group is built and enumerated."""
     slack = default_slack if cfg.slack is None else cfg.slack
-    if FAMILIES[cfg.family].series is not None:
-        _charge_budget(_series(cfg), n + slack)
+    spheres = _series(cfg)
+    if spheres is not None:
+        _charge_budget(spheres, n + slack)
     return oracle.conjugacy_classes(make_group(), n, slack=slack)
 
 
@@ -302,8 +305,8 @@ def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     n = min(cfg.max_n, 5)
     graph = cfg.graph()
-    counts = raag.counts(graph, n)
     table = _closure(cfg, lambda: oracle.RaagGroup(graph), n, 2)
+    counts = raag.counts(graph, n)
     return [
         ("raag: ball counts vs oracle BFS", n, list(table.spheres) == counts.sphere),
         ("raag: conjugacy counts vs oracle", n,
@@ -361,11 +364,12 @@ def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 class Family:
     """Everything the verbs need to know about one family: the sphere sizes'
     series as (numerator, denominator) coefficients and the class counts by
-    least length 0..n, or neither for a family counted by enumeration."""
+    least length 0..n. A RAAG over a non-cograph has no series (None) and
+    is counted by enumeration."""
 
     validate: Callable[[RunConfig], list[tuple[str, int, bool]]]
-    series: Optional[Callable[[RunConfig], tuple[Iterable[int], Iterable[int]]]] = None
-    classes: Optional[Callable[[RunConfig, int], list[int]]] = None
+    series: Callable[[RunConfig], Optional[tuple[Iterable[int], Iterable[int]]]]
+    classes: Callable[[RunConfig, int], list[int]]
     parameters: Callable[[RunConfig], dict] = lambda cfg: {}
     compare: Optional[Callable[[RunConfig], tuple]] = None  # None: compare unsupported
 
@@ -379,7 +383,9 @@ FAMILIES = {
                            lambda cfg, n: list(islice(_series(cfg), n + 1)),
                            parameters=lambda cfg: {"dim": cfg.dim},
                            compare=_compare_free_abelian),
-    "raag": Family(_validate_raag, parameters=lambda cfg: {"graph": cfg.graph_path}),
+    "raag": Family(_validate_raag, lambda cfg: raag.sphere_series(cfg.graph()),
+                   lambda cfg, n: raag.class_spheres(cfg.graph(), n),
+                   parameters=lambda cfg: {"graph": cfg.graph_path}),
     "lamplighter": Family(_validate_lamplighter, lambda cfg: lamplighter.SERIES,
                           lambda cfg, n: lamplighter.conjugacy_counts(n)[0]),
     "dihedral-inf": Family(_validate_dihedral, lambda cfg: oracle.DIHEDRAL_SERIES,

@@ -1,5 +1,14 @@
 """Right-angled Artin groups over a commutation graph.
 
+When the graph is a cograph, built from single vertices by joins and
+disjoint unions, the counts come by formula over its cotree:
+``sphere_series`` is Chiswell's growth series of the clique polynomial,
+and ``class_spheres`` composes direct products (a join convolves) and
+free products (a union adds the necklaces of alternating syllables).
+``growth`` charges the element budget against the series, so it knows its
+last radius before any class work. The word counter ``counts`` is the
+route for other graphs, for ``validate`` and for the tests.
+
 Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and every
 element has one shortlex normal form: its least geodesic word. The counter
 works on these words alone. ``elements`` grows each sphere from the last
@@ -28,10 +37,12 @@ so checks the counter's class counts by an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import islice, zip_longest
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, ConsistencyError, default_budget
-from .words import least_rotation, rotate
+from .sequences import convolve, iter_series
+from .words import cycrep_counts, least_rotation, rotate
 
 Piles = tuple[tuple[int, ...], ...]
 
@@ -149,6 +160,26 @@ class RaagCounts:
     support_classes: dict[tuple[str, ...], int]
 
 
+def _components(vertices: int, neighbours: Sequence[int]) -> list[int]:
+    """Connected components of the graph on the vertex bitmask ``vertices``
+    whose vertex u is joined to the vertices in bitmask neighbours[u]; the
+    components come back as bitmasks."""
+    comps = []
+    while vertices:
+        comp = frontier = vertices & -vertices
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= neighbours[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & vertices & ~comp
+            comp |= frontier
+        comps.append(comp)
+        vertices &= ~comp
+    return comps
+
+
 class Raag:
     def __init__(self, graph: GraphSpec):
         self.graph = graph
@@ -167,6 +198,32 @@ class Raag:
         self._blocks = tuple(
             sum(1 << j for j in others) | 1 << i for i, others in enumerate(self.noncommuting)
         )
+        self.cotree = self._cotree()
+
+    def _cotree(self) -> Optional[Cotree]:
+        """Split a vertex set into the components of its induced subgraph
+        (a union) or, failing that, of the complement (a join), and recurse;
+        a set of two or more vertices that splits neither way is not a
+        cograph, and then the graph has no cotree (None)."""
+        adjacent = tuple(sum(1 << j for j in adj) for adj in self.adjacent)
+        nodes: list = [None]
+        todo = [(0, (1 << self.k) - 1)]
+        while todo:
+            at, vertices = todo.pop()
+            if not vertices & (vertices - 1):
+                nodes[at] = (None, ())
+                continue
+            parts = _components(vertices, adjacent)
+            join = len(parts) == 1
+            if join:
+                parts = _components(vertices, self._blocks)
+                if len(parts) == 1:
+                    return None
+            children = tuple(range(len(nodes), len(nodes) + len(parts)))
+            nodes += [None] * len(parts)
+            todo += zip(children, parts)
+            nodes[at] = (join, children)
+        return tuple(nodes)
 
     # pile plumbing
 
@@ -292,25 +349,6 @@ class Raag:
             blocked |= blocks[c >> 1]
         return True
 
-    def _complement_components(self, support: frozenset[int]) -> list[frozenset[int]]:
-        """Components of the complement of the induced commutation subgraph
-        (vertices joined when they do NOT commute)."""
-        remaining = set(support)
-        comps = []
-        while remaining:
-            seed = remaining.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                u = frontier.pop()
-                linked = [v for v in remaining if v not in self.adjacent[u]]
-                for v in linked:
-                    remaining.remove(v)
-                    comp.add(v)
-                    frontier.append(v)
-            comps.append(frozenset(comp))
-        return comps
-
     def _support_edge_free(self, support) -> bool:
         return all(v not in self.adjacent[u] for u in support for v in support)
 
@@ -362,10 +400,11 @@ class Raag:
         if not word:
             return ("id",)
         supp = frozenset(c >> 1 for c in word)
-        comps = self._complement_components(supp)
+        # components of the support's non-commutation graph
+        comps = _components(sum(1 << g for g in supp), self._blocks)
         if len(comps) >= 2:
             blocks = [
-                self._key_of_reduced(tuple(c for c in word if (c >> 1) in comp))
+                self._key_of_reduced(tuple(c for c in word if comp >> (c >> 1) & 1))
                 for comp in comps
             ]
             support_labels = tuple(self.graph.labels[i] for i in sorted(supp))
@@ -462,3 +501,101 @@ def conj_key(word: Sequence[int], graph: GraphSpec):
 
 def counts(graph: GraphSpec, max_n: int) -> RaagCounts:
     return _raag(graph).counts(max_n)
+
+
+# Growth by formula over the cotree of a cograph: a graph built from single
+# vertices by joins (direct products) and disjoint unions (free products).
+# A cotree node is (join, children): join is None at a vertex, True at a
+# join and False at a disjoint union, and children index the node tuple,
+# each past its parent, so a walk from the end meets children first.
+Cotree = tuple[tuple[Optional[bool], tuple[int, ...]], ...]
+
+
+def _compose(tree: Cotree, vertex, join: Callable, union: Callable):
+    """Fold the cotree up from its leaves: ``vertex`` at each leaf, then
+    ``join`` or ``union`` over a node's children, left to right."""
+    values: list = [None] * len(tree)
+    for at in reversed(range(len(tree))):
+        kind, children = tree[at]
+        if kind is None:
+            values[at] = vertex
+            continue
+        step = join if kind else union
+        value = values[children[0]]
+        for child in children[1:]:
+            value = step(value, values[child])
+        values[at] = value
+    return values[0]
+
+
+def _multiply(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _add_less_one(p: list[int], q: list[int]) -> list[int]:
+    """p + q - 1: the clique polynomial of a disjoint union, which has one
+    empty clique."""
+    out = [x + y for x, y in zip_longest(p, q, fillvalue=0)]
+    out[0] -= 1
+    return out
+
+
+def _sphere_series(clique: list[int]) -> tuple[list[int], list[int]]:
+    """Chiswell's growth series S(t) = 1 / C(-2t / (1 + t)) of the clique
+    polynomial C, cleared of (1 + t)^w, w = deg C: numerator (1 + t)^w and
+    denominator sum of C(m) (-2t)^m (1 + t)^(w - m), whose constant term is
+    C(0) = 1."""
+    w = len(clique) - 1
+    denom, row = [0] * (w + 1), [1]  # row: the coefficients of (1 + t)^(w - m)
+    for m in range(w, -1, -1):
+        scale = clique[m] * (-2) ** m
+        for j, b in enumerate(row):
+            denom[m + j] += scale * b
+        if m:
+            row = [x + y for x, y in zip(row + [0], [0] + row)]
+    return row, denom
+
+
+def _free_product_classes(left, right, n: int) -> list[int]:
+    """Class spheres 0..n of A * B from each factor's (clique polynomial,
+    class spheres). A class either meets a factor, and is one of its
+    classes, or its least words are the cyclic sequences of (A-syllable,
+    B-syllable) pairs (Magnus, Karrass and Solitar, Thm 4.2). One pair has
+    series P = (S_A - 1)(S_B - 1); t P' / (1 - P) counts pair sequences
+    with a marked starting pair, and their rotation classes are the
+    necklaces."""
+    a, b = (list(islice(iter_series(*_sphere_series(clique)), n + 1)) for clique, _ in (left, right))
+    pair = convolve([0] + a[1:], [0] + b[1:])
+    trace = list(islice(iter_series((k * p for k, p in enumerate(pair)),
+                                    [1] + [-p for p in pair[1:]]), n + 1))
+    classes = [x + y + z for x, y, z in zip(left[1], right[1], [0] + cycrep_counts(trace[1:]))]
+    classes[0] -= 1  # the identity's class meets both factors
+    return classes
+
+
+def sphere_series(graph: GraphSpec) -> Optional[tuple[list[int], list[int]]]:
+    """Numerator and denominator coefficients of the sphere sizes' series
+    when the graph is a cograph, from its clique polynomial: a vertex is
+    1 + x, a join multiplies, a union adds; None for other graphs."""
+    tree = _raag(graph).cotree
+    if tree is None:
+        return None
+    return _sphere_series(_compose(tree, [1, 1], _multiply, _add_less_one))
+
+
+def class_spheres(graph: GraphSpec, n: int) -> list[int]:
+    """Conjugacy classes by least length 0..n of a cograph's group: a
+    vertex is Z with classes 1, 2, 2, ...; a join convolves; a union is a
+    free product (``_free_product_classes``)."""
+    tree = _raag(graph).cotree
+    if tree is None:
+        raise ValueError("class spheres by formula need a cograph")
+    return _compose(
+        tree, ([1, 1], [1] + [2] * n),
+        lambda x, y: (_multiply(x[0], y[0]), convolve(x[1], y[1])),
+        lambda x, y: (_add_less_one(x[0], y[0]), _free_product_classes(x, y, n)),
+    )[1]

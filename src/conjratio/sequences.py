@@ -6,7 +6,6 @@ only appear in fitted slopes, never in the counts themselves.
 
 from __future__ import annotations
 
-import decimal
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
@@ -249,8 +248,12 @@ def check_ratio_vanishes(
 
 def decimal_str(value: Fraction, digits: int = 12) -> str:
     """Render an exact fraction to ``digits`` places, round-half-even."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-        quantum = decimal.Decimal(1).scaleb(-digits)
-        return format(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN), "f")
+    num, den = value.numerator, value.denominator
+    q, r = divmod(abs(num) * 10 ** digits, den)
+    if 2 * r > den or 2 * r == den and q & 1:
+        q += 1
+    sign = "-" if num < 0 else ""
+    if not digits:
+        return f"{sign}{q}"
+    whole, frac = divmod(q, 10 ** digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"

@@ -8,6 +8,7 @@ determinism on top of that.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -19,7 +20,7 @@ import pytest
 
 from conjratio import cli, free_group, lamplighter, oracle, raag
 from conjratio.cli import RunConfig
-from conjratio.sequences import decimal_str
+from conjratio.sequences import convolve, decimal_str
 
 
 def run_cli(argv):
@@ -36,8 +37,19 @@ def rows(text):
 
 
 P3_GRAPH = "vertices: a b c\nedge: a b\nedge: b c\n"
+C4_GRAPH = "vertices: a b c d\nedge: a b\nedge: b c\nedge: c d\nedge: d a\n"
+P4_GRAPH = "vertices: a b c d\nedge: a b\nedge: b c\nedge: c d\n"
+C5_GRAPH = "vertices: a b c d e\nedge: a b\nedge: b c\nedge: c d\nedge: d e\nedge: e a\n"
 LAMPLIGHTER_N400 = Path(__file__).resolve().parents[1] / "data" / "lamplighter-n400.csv"
 HEISENBERG_N200 = Path(__file__).resolve().parents[1] / "data" / "heisenberg-n200.csv"
+
+
+def threshold_graph(k):
+    """Vertex i is joined to every earlier vertex when i is odd and to none
+    when i is even: a cograph whose cotree is as deep as the graph."""
+    lines = ["vertices: " + " ".join(f"v{i}" for i in range(k))]
+    lines += [f"edge: v{j} v{i}" for i in range(1, k, 2) for j in range(i)]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -310,6 +322,90 @@ class TestTruncation:
         assert run_cli([verb, *argv]) == (2, "", f"error: {err}\n")
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("text,argv,budget,completed", [
+        # |B(6)| = 2,901 and |B(7)| = 8,731 for P3: the charge names the
+        # radius the oracle's BFS would
+        (P3_GRAPH, ["--max-n", "5"], "5000", 6),
+        # |B(10)| = 236,173 and |B(11)| = 708,563
+        (P3_GRAPH, ["--max-n", "5", "--slack", "1000000"], "500000", 10),
+        # P4 is not a cograph: no series to charge, the BFS finds the budget
+        (P4_GRAPH, ["--max-n", "4"], "2000", 4),
+    ], ids=["P3", "P3-huge-slack", "P4"])
+    def test_validate_raag_charges_the_series_first(self, tmp_path, monkeypatch, text, argv,
+                                                    budget, completed):
+        path = tmp_path / "g.graph"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+        start = time.perf_counter()
+        assert run_cli(["validate", "--family", "raag", "--graph", str(path), *argv]) == (
+            2, "", f"error: element budget {budget} exceeded; completed radius {completed}\n")
+        assert time.perf_counter() - start < 2
+
+    def test_raag_cograph_grows_without_enumerating(self, tmp_path, monkeypatch, p3_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("growth enumerated elements")
+
+        monkeypatch.setattr(raag.Raag, "elements", refuse)
+        monkeypatch.setattr(oracle, "ball_enumerate", refuse)
+        path = tmp_path / "c4.graph"
+        path.write_text(C4_GRAPH, encoding="utf-8")
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(10 ** 200))
+        start = time.perf_counter()
+        code, out, err = run_cli(["growth", "--family", "raag", "--graph", str(path),
+                                  "--max-n", "40"])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        # the right-angled Artin group of C4 is F2 x F2
+        body = rows(out)
+        spheres = free_group.sphere_sizes(2, 40)
+        classes = free_group.conjugacy_sphere_counts(2, 40)
+        assert [int(r[1]) for r in body] == convolve(free_group.ball_counts(2, 40), spheres)
+        assert [int(r[4]) for r in body] == convolve(classes, classes)
+        # the budget stop of the benchmark's P3 configuration
+        monkeypatch.setenv("CONJRATIO_BUDGET", "30000")
+        _, out, _ = run_cli(["growth", "--family", "raag", "--graph", p3_path, "--max-n", "12"])
+        assert out.splitlines()[-1] == "#truncated,8"
+
+    def test_deep_cotree_grows_at_once_and_matches_the_word_counter(self, tmp_path,
+                                                                    monkeypatch):
+        path = tmp_path / "threshold.graph"
+        path.write_text(threshold_graph(50), encoding="utf-8")
+        argv = ["growth", "--family", "raag", "--graph", str(path), "--max-n", "6"]
+        monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, full, err = run_cli(argv)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert full.splitlines()[-1] == "#truncated,3"
+        # |B(2)| = 7,501 fits this budget and |B(3)| = 531,801 does not
+        monkeypatch.setenv("CONJRATIO_BUDGET", "20000")
+        _, small, _ = run_cli(argv)
+        assert small.splitlines()[-1] == "#truncated,2"
+        assert full.startswith(small[:-len("#truncated,2\n")])
+        counts = raag.counts(raag.graph_from_text(threshold_graph(50)), 2)
+        body = rows(small)[:-1]
+        assert [int(r[2]) for r in body] == counts.sphere
+        assert [int(r[4]) for r in body] == counts.conj_sphere
+
+    @pytest.mark.parametrize("text,max_n,budget,digest", [
+        (P4_GRAPH, 6, None, "254706dd08afae4faaab4d413cf896aa119b4203380e576053d6966043527dfd"),
+        (C5_GRAPH, 6, None, "bd1cc930feb3688261cb947ed3771982e9872ccbf0ca19d5129fbe14874538d3"),
+        # ends in #truncated,5
+        (P4_GRAPH, 12, "30000", "91c62b72879b06524de72cb1f553ad6791d6d916b5e73836fefec1eee547e889"),
+    ], ids=["P4", "C5", "P4-budget"])
+    def test_non_cograph_growth_keeps_the_word_counter(self, tmp_path, monkeypatch, text,
+                                                       max_n, budget, digest):
+        path = tmp_path / "g.graph"
+        path.write_text(text, encoding="utf-8")
+        if budget is None:
+            monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+        code, out, err = run_cli(["growth", "--family", "raag", "--graph", str(path),
+                                  "--max-n", str(max_n)])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_free_growth_has_no_rank_cap(self):
         code, out, err = run_cli(["growth", "--family", "free", "--rank", "600000",
                                   "--max-n", "1"])
@@ -462,11 +558,12 @@ class TestFamilyTable:
                            f"('dihedral-inf', 'free', 'free-abelian'), got '{family}'\n")
 
     @pytest.mark.parametrize("family", [f for f, fam in cli.FAMILIES.items() if fam.series])
-    def test_series_and_classes_match_the_oracle(self, family):
+    def test_series_and_classes_match_the_oracle(self, family, p3_path):
         group = {"free": oracle.FreeGroup(2), "free-abelian": oracle.FreeAbelian(2),
                  "lamplighter": oracle.Lamplighter(), "dihedral-inf": oracle.DihedralInfinite(),
-                 "heisenberg": oracle.Heisenberg()}[family]
-        cfg = RunConfig(family)
+                 "heisenberg": oracle.Heisenberg(),
+                 "raag": oracle.RaagGroup(raag.path_graph(3))}[family]
+        cfg = RunConfig(family, graph_path=p3_path if family == "raag" else None)
         _, spheres = oracle.ball_enumerate(group, 4)
         assert list(itertools.islice(cli._series(cfg), 5)) == spheres
         table = oracle.conjugacy_classes(group, 4, slack=4)

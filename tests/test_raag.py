@@ -30,7 +30,7 @@ from conjratio.raag import (
     graph_from_text,
     path_graph,
 )
-from conjratio.sequences import convolve
+from conjratio.sequences import convolve, iter_series
 from conjratio.words import inverse_code, parse_word, rotate, word_str
 
 P3 = path_graph(3)
@@ -40,6 +40,7 @@ EMPTY2 = empty_graph(2)
 TRIANGLE = complete_graph(3)
 PAW = GraphSpec(("a", "b", "c", "d"), frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
 STAR = GraphSpec(("a", "b", "c", "d"), frozenset({(0, 1), (0, 2), (0, 3)}))
+EMPTY3 = empty_graph(3)
 
 p3_letters = st.integers(min_value=0, max_value=5)
 p3_words = st.lists(p3_letters, min_size=0, max_size=8).map(tuple)
@@ -59,6 +60,41 @@ def small_graphs_and_radii(draw):
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     n = draw(st.integers(min_value=0, max_value={1: 4, 2: 4, 3: 3, 4: 2}[k]))
     return GraphSpec(tuple("abcd"[:k]), frozenset(edges)), n
+
+
+@st.composite
+def cographs(draw):
+    """A cograph on 1..5 vertices: singletons merged two at a time by a
+    join or a disjoint union, its vertices then shuffled."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    parts, edges = [[v] for v in range(k)], set()
+    while len(parts) > 1:
+        a = parts.pop(draw(st.integers(min_value=0, max_value=len(parts) - 1)))
+        b = parts.pop(draw(st.integers(min_value=0, max_value=len(parts) - 1)))
+        if draw(st.booleans()):
+            edges |= {(u, v) for u in a for v in b}
+        parts.append(a + b)
+    place = draw(st.permutations(range(k)))
+    return GraphSpec(tuple("abcde"[:k]),
+                     frozenset(tuple(sorted((place[u], place[v]))) for u, v in edges))
+
+
+def has_induced_path4(graph):
+    """True when four vertices induce a path on four vertices, the one
+    obstruction to being a cograph."""
+    for vs in itertools.permutations(range(len(graph.labels)), 4):
+        if vs[0] > vs[3]:
+            continue
+        linked = [tuple(sorted((vs[i], vs[j]))) in graph.edges for i, j in
+                  itertools.combinations(range(4), 2)]
+        # pairs in order 01 02 03 12 13 23: a path 0-1-2-3 has exactly 01, 12, 23
+        if linked == [True, False, False, True, False, True]:
+            return True
+    return False
+
+
+def formula_spheres(graph, max_n):
+    return list(itertools.islice(iter_series(*raag.sphere_series(graph)), max_n + 1))
 
 
 def commutation_closure(word, graph):
@@ -437,3 +473,40 @@ class TestCounts:
         c = raag.counts(P3, 4)
         assert list(table.ball_classes) == list(itertools.accumulate(c.conj_sphere))
         assert list(table.sphere_classes) == c.conj_sphere
+
+
+class TestFormula:
+    """The cotree route of ``growth`` against the word counter and against
+    Chiswell's series by clique enumeration."""
+
+    @pytest.mark.parametrize("graph, n", [
+        (EMPTY2, 8), (EDGE2, 8), (P3, 8), (C4, 8), (TRIANGLE, 8),
+        (PAW, 7), (STAR, 7), (EMPTY3, 7),
+    ], ids=["empty-2", "edge-2", "P3", "C4", "triangle", "paw", "star", "empty-3"])
+    def test_formula_matches_counts(self, graph, n):
+        c = raag.counts(graph, n)
+        assert formula_spheres(graph, n) == c.sphere
+        assert raag.class_spheres(graph, n) == c.conj_sphere
+
+    @settings(max_examples=25)
+    @given(cographs())
+    def test_formula_matches_counts_on_random_cographs(self, graph):
+        assert Raag(graph).cotree is not None
+        c = raag.counts(graph, 5)
+        assert formula_spheres(graph, 5) == c.sphere == chiswell_spheres(graph, 5)
+        assert raag.class_spheres(graph, 5) == c.conj_sphere
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_cotree_exists_exactly_without_an_induced_path(self, k):
+        pairs = list(itertools.combinations(range(k), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            graph = GraphSpec(tuple("abcde"[:k]),
+                              frozenset(e for e, on in zip(pairs, chosen) if on))
+            assert (Raag(graph).cotree is None) == has_induced_path4(graph)
+
+    @pytest.mark.parametrize("graph", [path_graph(4), cycle_graph(5)], ids=["P4", "C5"])
+    def test_non_cographs_have_no_formula(self, graph):
+        assert Raag(graph).cotree is None
+        assert raag.sphere_series(graph) is None
+        with pytest.raises(ValueError):
+            raag.class_spheres(graph, 3)

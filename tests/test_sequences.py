@@ -1,5 +1,6 @@
 """Exact sequence utilities: ratios, transforms, estimates, rendering."""
 
+import decimal
 import time
 from fractions import Fraction
 from itertools import islice
@@ -250,3 +251,23 @@ class TestRendering:
         assert decimal_str(Fraction(15, 10**13)) == "0.000000000002"
         assert decimal_str(Fraction(25, 10**13)) == "0.000000000002"
 
+    @given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(0, 15))
+    def test_matches_the_decimal_route(self, num, den, digits):
+        value = Fraction(num, den)
+        assert decimal_str(value, digits) == decimal_route(value, digits)
+
+    @given(st.integers(0, 10**20), st.integers(0, 15))
+    def test_exact_ties_match_the_decimal_route(self, k, digits):
+        # (2k + 1) / (2 * 10^digits) lies halfway between two outputs
+        value = Fraction(2 * k + 1, 2 * 10 ** digits)
+        assert decimal_str(value, digits) == decimal_route(value, digits)
+
+
+def decimal_route(value, digits):
+    """The same rendering by decimal.Decimal: a quotient to 60 significant
+    digits, quantized round-half-even."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        quantum = decimal.Decimal(1).scaleb(-digits)
+        return format(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN), "f")
