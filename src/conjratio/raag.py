@@ -1,13 +1,15 @@
 """Right-angled Artin groups over a commutation graph.
 
-When the graph is a cograph, built from single vertices by joins and
-disjoint unions, the counts come by formula over its cotree:
-``sphere_series`` is Chiswell's growth series of the clique polynomial,
-and ``class_spheres`` composes direct products (a join convolves) and
-free products (a union adds the necklaces of alternating syllables).
-``growth`` charges the element budget against the series, so it knows its
-last radius before any class work. The word counter ``counts`` is the
-route for other graphs, for ``validate`` and for the tests.
+``sphere_series`` is Chiswell's growth series of the clique polynomial
+for every graph, so ``growth`` and ``validate`` charge the element budget
+against it and know their last radius before any class work. When the
+graph is a cograph, built from single vertices by joins and disjoint
+unions, the clique polynomial composes over its cotree and
+``class_spheres`` composes direct products (a join convolves) and free
+products (a union adds the necklaces of alternating syllables). Over
+other graphs the series' denominator is read term by term from clique
+counts, and the classes come from the word counter ``counts``, which
+also backs the tests.
 
 Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and every
 element has one shortlex normal form: its least geodesic word. The counter
@@ -37,8 +39,9 @@ so checks the counter's class counts by an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, zip_longest
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, count, islice, repeat, zip_longest
+from math import comb
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, ConsistencyError, default_budget
 from .sequences import convolve, iter_series
@@ -160,6 +163,14 @@ class RaagCounts:
     support_classes: dict[tuple[str, ...], int]
 
 
+def _vertices(mask: int) -> Iterator[int]:
+    """The vertices in a bitmask, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _components(vertices: int, neighbours: Sequence[int]) -> list[int]:
     """Connected components of the graph on the vertex bitmask ``vertices``
     whose vertex u is joined to the vertices in bitmask neighbours[u]; the
@@ -169,10 +180,8 @@ def _components(vertices: int, neighbours: Sequence[int]) -> list[int]:
         comp = frontier = vertices & -vertices
         while frontier:
             reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= neighbours[low.bit_length() - 1]
-                frontier ^= low
+            for u in _vertices(frontier):
+                reach |= neighbours[u]
             frontier = reach & vertices & ~comp
             comp |= frontier
         comps.append(comp)
@@ -577,23 +586,51 @@ def _free_product_classes(left, right, n: int) -> list[int]:
     return classes
 
 
-def sphere_series(graph: GraphSpec) -> Optional[tuple[list[int], list[int]]]:
-    """Numerator and denominator coefficients of the sphere sizes' series
-    when the graph is a cograph, from its clique polynomial: a vertex is
-    1 + x, a join multiplies, a union adds; None for other graphs."""
-    tree = _raag(graph).cotree
-    if tree is None:
-        return None
-    return _sphere_series(_compose(tree, [1, 1], _multiply, _add_less_one))
+def _clique_sizes(group: Raag) -> Iterator[int]:
+    """c_1, c_2, ...: the number of cliques of each size, up to the first
+    size that has none. Level m holds one bitmask per m-clique, its common neighbours
+    above its greatest vertex, so c_(m+1) is the sum of their popcounts;
+    level m is built only when c_(m+1) is read. An m-clique has 2^m
+    elements of the m-sphere to itself, so a level holds fewer entries
+    than the ball that was charged before it is read."""
+    above = [sum(1 << j for j in adj if j > i) for i, adj in enumerate(group.adjacent)]
+    level = [(1 << group.k) - 1]  # the empty clique: every vertex extends it
+    while level:
+        yield sum(mask.bit_count() for mask in level)
+        level = [mask & above[u] for mask in level for u in _vertices(mask)]
+
+
+def _chiswell_denominator(group: Raag) -> Iterator[int]:
+    """C(-2t / (1 + t)) term by term, for C(x) = sum of c_m x^m over the
+    clique sizes m: term n is (-1)^n sum of c_m 2^m binom(n - 1, m - 1) over
+    1 <= m <= n, so it reads clique counts up to size n only."""
+    yield 1
+    sizes, cliques = chain(_clique_sizes(group), repeat(0)), []
+    for n in count(1):
+        cliques.append(next(sizes))
+        yield (-1) ** n * sum(c * comb(n - 1, m - 1) << m for m, c in enumerate(cliques, 1))
+
+
+def sphere_series(graph: GraphSpec) -> tuple[Iterable[int], Iterable[int]]:
+    """Numerator and denominator coefficients of the sphere sizes' series,
+    Chiswell's 1 / C(-2t / (1 + t)) of the clique polynomial C. Over a
+    cograph C comes from the cotree (a vertex is 1 + x, a join multiplies,
+    a union adds) and (1 + t)^w is cleared, so the denominator is finite;
+    over other graphs the denominator is read term by term."""
+    group = _raag(graph)
+    if group.cotree is None:
+        return (1,), _chiswell_denominator(group)
+    return _sphere_series(_compose(group.cotree, [1, 1], _multiply, _add_less_one))
 
 
 def class_spheres(graph: GraphSpec, n: int) -> list[int]:
-    """Conjugacy classes by least length 0..n of a cograph's group: a
-    vertex is Z with classes 1, 2, 2, ...; a join convolves; a union is a
-    free product (``_free_product_classes``)."""
+    """Conjugacy classes by least length 0..n. Over a cograph they compose
+    over the cotree: a vertex is Z with classes 1, 2, 2, ...; a join
+    convolves; a union is a free product (``_free_product_classes``).
+    Other graphs run the word counter to radius n."""
     tree = _raag(graph).cotree
     if tree is None:
-        raise ValueError("class spheres by formula need a cograph")
+        return counts(graph, n).conj_sphere
     return _compose(
         tree, ([1, 1], [1] + [2] * n),
         lambda x, y: (_multiply(x[0], y[0]), convolve(x[1], y[1])),

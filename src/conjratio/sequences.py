@@ -24,12 +24,13 @@ def iter_series(numer: Iterable[int], denom: Iterable[int]) -> Iterator[int]:
     Both polynomials are coefficient iterables from x^0 up, read one term
     at a time, so a huge degree costs only the terms read. denom(0) must be
     1 (ValueError otherwise); then s(n) = numer(n) - sum of denom(k) s(n - k)
-    over k >= 1, keeping as many past terms as denom's degree."""
+    over k >= 1, keeping as many past terms as denom's degree. s(n) reads
+    denom no further than denom(n)."""
     numer, denom = chain(numer, repeat(0)), iter(denom)
     if next(denom, None) != 1:
         raise ValueError("the denominator's constant term must be 1")
     tail, past = [], deque()  # denom(1), denom(2), ... as read; s(n - 1), s(n - 2), ...
-    for d in chain(denom, repeat(None)):
+    for d in chain((None,), denom, repeat(None)):  # s(0) reads no denom(k), k >= 1
         if d is not None:
             tail.append(d)
         elif len(past) > len(tail):

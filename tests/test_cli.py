@@ -12,11 +12,15 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjratio import cli, free_group, lamplighter, oracle, raag
 from conjratio.cli import RunConfig
@@ -49,6 +53,26 @@ def threshold_graph(k):
     when i is even: a cograph whose cotree is as deep as the graph."""
     lines = ["vertices: " + " ".join(f"v{i}" for i in range(k))]
     lines += [f"edge: v{j} v{i}" for i in range(1, k, 2) for j in range(i)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def graph_files(draw):
+    """The text of a graph file on 1..5 vertices, cograph or not, and now
+    and then one malformed line somewhere in it. A drawn path through four
+    vertices, kept or not, makes non-cographs common."""
+    labels = "abcde"[:draw(st.sampled_from([5, 4, 3, 2, 1]))]
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if len(labels) >= 4 and draw(st.booleans()):
+        path = draw(st.permutations(labels))[:4]
+        edges -= {tuple(sorted(pair)) for pair in itertools.combinations(path, 2)}
+        edges |= {tuple(sorted(path[i:i + 2])) for i in range(3)}
+    lines = ["vertices: " + " ".join(labels)] + [f"edge: {x} {y}" for x, y in sorted(edges)]
+    fault = draw(st.sampled_from(
+        [None] * 12 + ["edge: a a", "edge: a z", "edge: a", "vertices: x", "junk"]))
+    if fault is not None:
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), fault)
     return "\n".join(lines) + "\n"
 
 
@@ -328,7 +352,7 @@ class TestTruncation:
         (P3_GRAPH, ["--max-n", "5"], "5000", 6),
         # |B(10)| = 236,173 and |B(11)| = 708,563
         (P3_GRAPH, ["--max-n", "5", "--slack", "1000000"], "500000", 10),
-        # P4 is not a cograph: no series to charge, the BFS finds the budget
+        # P4 is not a cograph: its series reads clique counts term by term
         (P4_GRAPH, ["--max-n", "4"], "2000", 4),
     ], ids=["P3", "P3-huge-slack", "P4"])
     def test_validate_raag_charges_the_series_first(self, tmp_path, monkeypatch, text, argv,
@@ -405,6 +429,55 @@ class TestTruncation:
                                   "--max-n", str(max_n)])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_non_cograph_budget_stop_parses_and_enumerates_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "p4.graph"
+        path.write_text(P4_GRAPH, encoding="utf-8")
+        parses, radii = [], []
+        parse, elements = raag.graph_from_text, raag.Raag.elements
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        def counting_elements(group, max_n):
+            radii.append(max_n)
+            return elements(group, max_n)
+
+        monkeypatch.setattr(raag, "graph_from_text", counting_parse)
+        monkeypatch.setattr(raag.Raag, "elements", counting_elements)
+        monkeypatch.setenv("CONJRATIO_BUDGET", "30000")
+        code, out, err = run_cli(["growth", "--family", "raag", "--graph", str(path),
+                                  "--max-n", "12"])
+        assert (code, err) == (0, "")
+        # |B(5)| = 7,025 fits the budget and |B(6)| = 35,149 does not
+        assert out.splitlines()[-1] == "#truncated,5"
+        assert radii == [5]
+        assert parses == [P4_GRAPH]
+
+    def test_non_cograph_joined_with_a_big_clique_stops_at_once(self, tmp_path, monkeypatch):
+        # P4 joined with K40: the clique levels grow as binomials of 40
+        ks = [f"k{i}" for i in range(40)]
+        text = P4_GRAPH.replace("vertices: a b c d", "vertices: a b c d " + " ".join(ks))
+        text += "".join(f"edge: {x} {y}\n" for x, y in itertools.combinations(ks, 2))
+        text += "".join(f"edge: {x} {y}\n" for x in "abcd" for y in ks)
+        path = tmp_path / "p4k40.graph"
+        path.write_text(text, encoding="utf-8")
+        argv = ["--family", "raag", "--graph", str(path), "--max-n", "3"]
+        monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
+        start = time.perf_counter()
+        # |B(4)| = 2,670,201 and |B(5)| = 48,300,801
+        assert run_cli(["validate", *argv]) == (
+            2, "", "error: element budget 5000000 exceeded; completed radius 4\n")
+        assert time.perf_counter() - start < 1
+        monkeypatch.setenv("CONJRATIO_BUDGET", "100000")
+        start = time.perf_counter()
+        code, out, err = run_cli(["growth", *argv])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        # |B(2)| = 3,973 and |B(3)| = 118,677
+        assert out.splitlines()[-2:] == ["2,3973,3884,3961,3872,0.996979612384,1.993820803296",
+                                         "#truncated,2"]
 
     def test_free_growth_has_no_rank_cap(self):
         code, out, err = run_cli(["growth", "--family", "free", "--rank", "600000",
@@ -557,18 +630,25 @@ class TestFamilyTable:
             assert err == ("error: compare supports families "
                            f"('dihedral-inf', 'free', 'free-abelian'), got '{family}'\n")
 
-    @pytest.mark.parametrize("family", [f for f, fam in cli.FAMILIES.items() if fam.series])
-    def test_series_and_classes_match_the_oracle(self, family, p3_path):
+    @pytest.mark.parametrize("family,graph_text,n,slack", [
+        *(pytest.param(family, P3_GRAPH, 4, 4, id=family) for family in cli.FAMILIES),
+        # B(5) of P4 has 7,025 elements and B(8) 878,897
+        pytest.param("raag", P4_GRAPH, 3, 2, id="raag-P4"),
+    ])
+    def test_series_and_classes_match_the_oracle(self, family, graph_text, n, slack,
+                                                 tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text(graph_text, encoding="utf-8")
         group = {"free": oracle.FreeGroup(2), "free-abelian": oracle.FreeAbelian(2),
                  "lamplighter": oracle.Lamplighter(), "dihedral-inf": oracle.DihedralInfinite(),
                  "heisenberg": oracle.Heisenberg(),
-                 "raag": oracle.RaagGroup(raag.path_graph(3))}[family]
-        cfg = RunConfig(family, graph_path=p3_path if family == "raag" else None)
-        _, spheres = oracle.ball_enumerate(group, 4)
-        assert list(itertools.islice(cli._series(cfg), 5)) == spheres
-        table = oracle.conjugacy_classes(group, 4, slack=4)
+                 "raag": oracle.RaagGroup(raag.graph_from_text(graph_text))}[family]
+        cfg = RunConfig(family, graph_path=str(path) if family == "raag" else None)
+        _, spheres = oracle.ball_enumerate(group, n)
+        assert list(itertools.islice(cli._series(cfg), n + 1)) == spheres
+        table = oracle.conjugacy_classes(group, n, slack=slack)
         assert table.stable
-        assert cli.FAMILIES[family].classes(cfg, 4) == list(table.sphere_classes)
+        assert cli.FAMILIES[family].classes(cfg, n) == list(table.sphere_classes)
 
     def test_formula_families_grow_without_enumerating(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -581,6 +661,32 @@ class TestFamilyTable:
             code, out, err = run_cli(["growth", "--family", family, "--max-n", "12"])
             assert (code, err) == (0, "")
             assert rows(out)[-1][0] == "12"
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def graph_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "g.graph"
+
+    @settings(max_examples=200)
+    @given(text=graph_files(), max_n=st.integers(min_value=0, max_value=8),
+           budget=st.integers(min_value=1, max_value=20000))
+    def test_raag_growth_on_drawn_graph_files(self, graph_path, text, max_n, budget):
+        graph_path.write_text(text, encoding="utf-8")
+        with mock.patch.dict(os.environ, {"CONJRATIO_BUDGET": str(budget)}):
+            code, out, err = run_cli(["growth", "--family", "raag", "--graph", str(graph_path),
+                                      "--max-n", str(max_n)])
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert (code, err) == (0, "")
+        body = [row for row in rows(out) if not row[0].startswith("#")]
+        radius = len(body) - 1
+        trailer = "" if radius == max_n else f"#truncated,{radius}\n"
+        assert out.endswith(trailer) and radius <= max_n
+        counts = raag.counts(raag.graph_from_text(text), radius)
+        assert [int(row[2]) for row in body] == counts.sphere
+        assert [int(row[4]) for row in body] == counts.conj_sphere
 
 
 class TestNecklace:

@@ -41,6 +41,7 @@ TRIANGLE = complete_graph(3)
 PAW = GraphSpec(("a", "b", "c", "d"), frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
 STAR = GraphSpec(("a", "b", "c", "d"), frozenset({(0, 1), (0, 2), (0, 3)}))
 EMPTY3 = empty_graph(3)
+BULL = GraphSpec(("a", "b", "c", "d", "e"), frozenset({(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)}))
 
 p3_letters = st.integers(min_value=0, max_value=5)
 p3_words = st.lists(p3_letters, min_size=0, max_size=8).map(tuple)
@@ -77,6 +78,18 @@ def cographs(draw):
     place = draw(st.permutations(range(k)))
     return GraphSpec(tuple("abcde"[:k]),
                      frozenset(tuple(sorted((place[u], place[v]))) for u, v in edges))
+
+
+@st.composite
+def non_cographs(draw):
+    """A graph on 4 or 5 vertices with an induced path on four vertices: a
+    path through four of them in a drawn order, and drawn edges at the fifth."""
+    k = draw(st.integers(min_value=4, max_value=5))
+    order = draw(st.permutations(range(k)))
+    ends = [(order[i], order[i + 1]) for i in range(3)]
+    if k == 5:
+        ends += [(order[4], v) for v in draw(st.sets(st.sampled_from(order[:4])))]
+    return GraphSpec(tuple("abcde"[:k]), frozenset(tuple(sorted(e)) for e in ends))
 
 
 def has_induced_path4(graph):
@@ -504,9 +517,30 @@ class TestFormula:
                               frozenset(e for e, on in zip(pairs, chosen) if on))
             assert (Raag(graph).cotree is None) == has_induced_path4(graph)
 
-    @pytest.mark.parametrize("graph", [path_graph(4), cycle_graph(5)], ids=["P4", "C5"])
-    def test_non_cographs_have_no_formula(self, graph):
+    @pytest.mark.parametrize("graph, n", [(path_graph(4), 6), (cycle_graph(5), 5), (BULL, 5)],
+                             ids=["P4", "C5", "bull"])
+    def test_non_cograph_series_matches_counts(self, graph, n):
         assert Raag(graph).cotree is None
-        assert raag.sphere_series(graph) is None
-        with pytest.raises(ValueError):
-            raag.class_spheres(graph, 3)
+        c = raag.counts(graph, n)
+        assert formula_spheres(graph, n) == c.sphere == chiswell_spheres(graph, n)
+        assert raag.class_spheres(graph, n) == c.conj_sphere
+
+    @settings(max_examples=15)
+    @given(non_cographs())
+    def test_non_cograph_series_matches_counts_on_random_graphs(self, graph):
+        assert Raag(graph).cotree is None
+        c = raag.counts(graph, 4)
+        assert formula_spheres(graph, 4) == c.sphere == chiswell_spheres(graph, 4)
+        assert raag.class_spheres(graph, 4) == c.conj_sphere
+
+    def test_clique_sizes_are_counted_level_by_level_as_read(self):
+        # K4 with a pendant path d-e-f; a-d-e-f is an induced P4
+        graph = GraphSpec(tuple("abcdef"), frozenset(
+            {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}))
+        assert list(raag._clique_sizes(Raag(graph))) == [6, 8, 4, 1, 0]
+        # K60 has C(60, 30) > 10^17 cliques of size 30; the first four sizes build
+        # levels 0..3 only
+        labels = tuple(f"v{i}" for i in range(60))
+        k60 = GraphSpec(labels, frozenset(itertools.combinations(range(60), 2)))
+        sizes = raag._clique_sizes(Raag(k60))
+        assert list(itertools.islice(sizes, 4)) == [comb(60, m) for m in range(1, 5)]

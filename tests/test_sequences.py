@@ -70,6 +70,21 @@ class TestIterSeries:
         assert terms(numer, denom, 3) == [1, 2 * dim, 2 * dim * dim]
         assert time.perf_counter() - start < 1
 
+    def test_term_n_reads_the_denominator_only_through_term_n(self):
+        # a lazy denominator may cost work per term, so none is read ahead
+        read = []
+
+        def one_less_three_x():
+            for k, d in enumerate([1, -3] + [0] * 10):
+                read.append(k)
+                yield d
+
+        series = iter_series((1, 1), one_less_three_x())
+        assert next(series) == 1
+        assert read == [0]
+        assert [next(series) for _ in range(5)] == [4, 12, 36, 108, 324]
+        assert read == [0, 1, 2, 3, 4, 5]
+
 
 class TestRatio:
     def test_singleton_classes(self):
