@@ -19,16 +19,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import free_group, lamplighter, oracle, raag
 from .errors import BudgetExceededError, default_budget
-from .raag import GraphFormatError
 # convolve and window_estimate are not called here; perfbench/tracer.py wraps these names
 from .sequences import convolve, decimal_str, iter_series, window_estimate
-from .words import (
-    ClosureHypothesisError,
-    cycrep_counts,
-    divisors,
-    euler_phi,
-    primitive_counts,
-)
+from .words import cycrep_counts, divisors, euler_phi, primitive_counts
 
 GROWTH_HEADER = ("n", "ball", "sphere", "conj_ball", "conj_sphere", "ratio", "n_sph_ratio")
 COMPARE_HEADER = ("n", "ratio_x", "ratio_y", "abs_diff")
@@ -145,7 +138,12 @@ def _csv_table(header: Sequence[str], columns: dict[str, list],
     return "\n".join(lines) + "\n"
 
 
-def _json_table(payload: dict) -> str:
+def _json_table(payload: dict, cfg: Optional[RunConfig] = None) -> str:
+    """The payload as indented JSON, after the run's family, parameters and
+    max_n when it has a configuration."""
+    if cfg is not None:
+        payload = {"family": cfg.family, "parameters": FAMILIES[cfg.family].parameters(cfg),
+                   "max_n": cfg.max_n, **payload}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -156,38 +154,19 @@ def run_growth(cfg: RunConfig) -> str:
     if cfg.fmt == "csv":
         trailer = None if truncated_at is None else f"#truncated,{truncated_at}"
         return _csv_table(GROWTH_HEADER, columns, trailer)
-    payload = {
-        "family": cfg.family,
-        "parameters": FAMILIES[cfg.family].parameters(cfg),
-        "max_n": cfg.max_n,
-        "truncated": truncated_at,
-        "columns": columns,
-    }
-    return _json_table(payload)
+    return _json_table({"truncated": truncated_at, "columns": columns}, cfg)
 
 
-# compare setups: (group, generating set x, generating set y, class key)
+# compare setups: (generating set y, class key); set x is the family group's own
 
 
-def _compare_dihedral(cfg: RunConfig):
-    group = oracle.DihedralInfinite()
-    return group, [(0,), (1,)], [(0,), (0, 1)], oracle.dihedral_conjugacy_key
-
-
-def _compare_free(cfg: RunConfig):
-    group = oracle.FreeGroup(cfg.rank)
-    standard = [chr(c) for c in range(0, 2 * cfg.rank, 2)]  # a, b, ...
+def _compare_free(cfg: RunConfig, group: oracle.Group):
     a, b = "\x00", "\x02"
-    extended = [a * 2, a * 3] if cfg.rank == 1 else standard + [a + b]
-    return group, standard, extended, free_group.conj_key
+    return ([a * 2, a * 3] if cfg.rank == 1 else [*group.generators, a + b]), free_group.conj_key
 
 
-def _compare_free_abelian(cfg: RunConfig):
-    group = oracle.FreeAbelian(cfg.dim)
-    units = list(group.generators)
-    doubled = [tuple(2 * a for a in v) for v in units]
-    tripled = [tuple(3 * a for a in v) for v in units]
-    return group, units, doubled + tripled, lambda x: x
+def _compare_free_abelian(cfg: RunConfig, group: oracle.Group):
+    return [tuple(k * a for a in v) for k in (2, 3) for v in group.generators], lambda x: x
 
 
 def run_compare(cfg: RunConfig) -> str:
@@ -195,11 +174,15 @@ def run_compare(cfg: RunConfig) -> str:
     if family.compare is None:
         supported = tuple(sorted(name for name, f in FAMILIES.items() if f.compare))
         raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
-    # B(2) of gens_x, the family series' set, is the first ball _check_generates enumerates
-    _charge_budget(_series(cfg), 2)
-    group, gens_x, gens_y, key = family.compare(cfg)
+    # the standard set's B(max_n), and B(2) at least: the generation check
+    # meets set y's generators there (3e of free-abelian one radius later)
+    _charge_budget(_series(cfg), max(cfg.max_n, 2))
+    group = family.group(cfg)
+    if cfg.max_n + 1 < cfg.window:
+        raise ValueError(f"need at least {cfg.window} terms, got {cfg.max_n + 1}")
+    gens_y, key = family.compare(cfg, group)
     report = oracle.generating_set_comparison(
-        group, gens_x, gens_y, cfg.max_n, window=cfg.window, key=key)
+        group, group.generators, gens_y, cfg.max_n, window=cfg.window, key=key)
     n_col = list(range(min(len(report.ratios_x), len(report.ratios_y))))
     columns = {
         "n": n_col,
@@ -211,19 +194,12 @@ def run_compare(cfg: RunConfig) -> str:
     }
     if cfg.fmt == "csv":
         return _csv_table(COMPARE_HEADER, columns)
-    payload = {
-        "family": cfg.family,
-        "parameters": family.parameters(cfg),
-        "max_n": cfg.max_n,
-        "window": cfg.window,
-        "columns": columns,
-        "estimates": {
-            "peak_x": decimal_str(report.estimate_x.peak),
-            "peak_y": decimal_str(report.estimate_y.peak),
-            "peak_abs_diff": decimal_str(report.peak_difference),
-        },
+    estimates = {
+        "peak_x": decimal_str(report.estimate_x.peak),
+        "peak_y": decimal_str(report.estimate_y.peak),
+        "peak_abs_diff": decimal_str(report.peak_difference),
     }
-    return _json_table(payload)
+    return _json_table({"window": cfg.window, "columns": columns, "estimates": estimates}, cfg)
 
 
 def run_necklace(path: str, fmt: str) -> str:
@@ -256,156 +232,132 @@ def run_necklace(path: str, fmt: str) -> str:
 # validation suites: (name, radius, passed) triples per family
 
 
-def _closure(cfg: RunConfig, make_group: Callable, n: int, default_slack: int):
-    """The oracle's closure over B(n + slack), its budget charged against
-    the family's sphere series before the group is built and enumerated."""
-    slack = default_slack if cfg.slack is None else cfg.slack
-    _charge_budget(_series(cfg), n + slack)
-    return oracle.conjugacy_classes(make_group(), n, slack=slack)
-
-
 def _partitions_agree(key: Callable, class_of: dict) -> bool:
     """The (key, class) pairs are a bijection: no more of them than keys or classes."""
     pairs = {(key(x), c) for x, c in class_of.items()}
     return len(pairs) == len({k for k, _ in pairs}) == len(set(class_of.values()))
 
 
-def _oracle_rows(family: str, table: oracle.ConjugacyTable,
-                 key: Optional[Callable] = None) -> list[tuple[str, int, bool]]:
-    """The rows that close a suite: the class key's partition of B(n)
-    against the closure's, where the family has a key, then stability."""
-    rows = [] if key is None else [(f"{family}: key partition matches oracle partition",
-                                    table.radius, _partitions_agree(key, table.class_of))]
-    return rows + [(f"{family}: oracle stable under slack-1", table.radius,
-                    bool(table.stable))]
+def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
+           names: Sequence[str] = (), key: Optional[Callable] = None):
+    """The oracle's closure over B(n + slack), n = min(max_n, cap), its budget
+    charged against the family's sphere series before the group is built,
+    and the rows every suite shares: the two named formula rows (the spheres
+    and classes ``growth`` prints, against the BFS and the closure), the class
+    key's partition of B(n) against the closure's where the family has a key,
+    then stability. A default slack of None means max(n, 1)."""
+    n = min(cfg.max_n, cap)
+    default = max(n, 1) if default_slack is None else default_slack
+    slack = default if cfg.slack is None else cfg.slack
+    spheres = _charge_budget(_series(cfg), n + slack)[:n + 1]
+    family = FAMILIES[cfg.family]
+    table = oracle.conjugacy_classes(family.group(cfg), n, slack=slack)
+    rows = []
+    if names:
+        sphere_row, class_row = names
+        rows += [(sphere_row, n, list(table.spheres) == spheres),
+                 (class_row, n, list(table.sphere_classes) == family.classes(cfg, n))]
+    if key is not None:
+        rows.append((f"{cfg.family}: key partition matches oracle partition", n,
+                     _partitions_agree(key, table.class_of)))
+    rows.append((f"{cfg.family}: oracle stable under slack-1", n, bool(table.stable)))
+    return table, rows
 
 
 def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    n = min(cfg.max_n, 8)
-    table = _closure(cfg, lambda: oracle.FreeGroup(cfg.rank), n, 2)
-    strict = free_group.cyclically_reduced_counts(cfg.rank, max(n, 6))
+    table, rows = _suite(cfg, 8, 2, ("free: sphere formula vs BFS",
+                                     "free: conjugacy counts vs oracle"))
+    strict = free_group.cyclically_reduced_counts(cfg.rank, max(table.radius, 6))
     necklaces = cycrep_counts(strict)
     identity_ok = all(
         m * necklaces[m - 1] == sum(euler_phi(m // d) * strict[d - 1] for d in divisors(m))
-        for m in range(1, len(strict) + 1)
-    )
-    return [
-        ("free: sphere formula vs BFS", n,
-         list(table.spheres) == free_group.sphere_sizes(cfg.rank, n)),
-        ("free: conjugacy counts vs oracle", n,
-         list(table.ball_classes) == free_group.conjugacy_ball_counts(cfg.rank, n)),
-        *_oracle_rows("free", table),
-        ("free: necklace identity on cyclically reduced counts", len(strict), identity_ok),
-    ]
+        for m in range(1, len(strict) + 1))
+    return rows + [("free: necklace identity on cyclically reduced counts", len(strict),
+                    identity_ok)]
 
 
 def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    n = min(cfg.max_n, 5)
-    graph = cfg.graph()
-    table = _closure(cfg, lambda: oracle.RaagGroup(graph), n, 2)
-    return [
-        ("raag: ball counts vs oracle BFS", n,
-         list(table.spheres) == list(islice(_series(cfg), n + 1))),
-        ("raag: conjugacy counts vs oracle", n,
-         list(table.sphere_classes) == FAMILIES["raag"].classes(cfg, n)),
-        *_oracle_rows("raag", table, raag.Raag(graph).element_key),
-    ]
+    return _suite(cfg, 5, 2, ("raag: ball counts vs oracle BFS",
+                              "raag: conjugacy counts vs oracle"),
+                  raag.Raag(cfg.graph()).element_key)[1]
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    n = min(cfg.max_n, 7)
-    table = _closure(cfg, oracle.Lamplighter, n, max(n, 1))
-    return [
-        ("lamplighter: metric formula vs BFS distance", n,
-         all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)),
-        ("lamplighter: sphere counts vs BFS", n,
-         list(table.spheres) == lamplighter.sphere_counts(n)),
-        ("lamplighter: conjugacy counts vs oracle", n,
-         list(table.ball_classes) == lamplighter.conjugacy_counts(n)[1]),
-        *_oracle_rows("lamplighter", table, lamplighter.conj_key),
-    ]
+    table, rows = _suite(cfg, 7, None, ("lamplighter: sphere counts vs BFS",
+                                        "lamplighter: conjugacy counts vs oracle"),
+                         lamplighter.conj_key)
+    return [("lamplighter: metric formula vs BFS distance", table.radius,
+             all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)), *rows]
 
 
 def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    n = min(cfg.max_n, 6 if cfg.dim <= 3 else 4)
-    table = _closure(cfg, lambda: oracle.FreeAbelian(cfg.dim), n, 2)
-    balls = list(accumulate(islice(_series(cfg), n + 1)))
-    return [
-        ("free-abelian: convolution balls vs oracle BFS", n,
-         list(accumulate(table.spheres)) == balls),
-        ("free-abelian: every element is its own class", n,
-         list(table.ball_classes) == balls),
-        *_oracle_rows("free-abelian", table),
-    ]
+    return _suite(cfg, 6 if cfg.dim <= 3 else 4, 2,
+                  ("free-abelian: convolution balls vs oracle BFS",
+                   "free-abelian: every element is its own class"))[1]
 
 
 def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    n = min(cfg.max_n, 16)
-    table = _closure(cfg, oracle.DihedralInfinite, n, 4)
-    return [
-        ("dihedral-inf: ball size 2n+1", n,
-         list(accumulate(table.spheres)) == [2 * m + 1 for m in range(n + 1)]),
-        ("dihedral-inf: class count 3 + n//2 from n=2", n,
-         list(table.ball_classes[2:]) == [3 + m // 2 for m in range(2, n + 1)]),
-        *_oracle_rows("dihedral-inf", table, oracle.dihedral_conjugacy_key),
-    ]
+    return _suite(cfg, 16, 4, ("dihedral-inf: ball size 2n+1",
+                               "dihedral-inf: class count 3 + n//2 from n=2"),
+                  oracle.dihedral_conjugacy_key)[1]
 
 
 def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    n = min(cfg.max_n, 6)
-    table = _closure(cfg, oracle.Heisenberg, n, max(n, 1))
-    return _oracle_rows("heisenberg", table, oracle.heisenberg_conjugacy_key)
+    # no formula rows: perfbench/expected.json pins this suite's output
+    return _suite(cfg, 6, None, key=oracle.heisenberg_conjugacy_key)[1]
 
 
 @dataclass(frozen=True)
 class Family:
     """Everything the verbs need to know about one family: the sphere sizes'
-    series as (numerator, denominator) coefficients and the class counts by
-    least length 0..n."""
+    series as (numerator, denominator) coefficients, the class counts by
+    least length 0..n, and the oracle's group on the series' generators."""
 
     validate: Callable[[RunConfig], list[tuple[str, int, bool]]]
     series: Callable[[RunConfig], tuple[Iterable[int], Iterable[int]]]
     classes: Callable[[RunConfig, int], list[int]]
+    group: Callable[[RunConfig], oracle.Group]
     parameters: Callable[[RunConfig], dict] = lambda cfg: {}
-    compare: Optional[Callable[[RunConfig], tuple]] = None  # None: compare unsupported
+    # (cfg, group) -> (generating set y, class key); None: compare unsupported
+    compare: Optional[Callable[[RunConfig, oracle.Group], tuple]] = None
 
 
 FAMILIES = {
     "free": Family(_validate_free, lambda cfg: free_group.series(cfg.rank),
                    lambda cfg, n: free_group.conjugacy_sphere_counts(cfg.rank, n),
+                   lambda cfg: oracle.FreeGroup(cfg.rank),
                    parameters=lambda cfg: {"rank": cfg.rank}, compare=_compare_free),
     # every element is its own class
     "free-abelian": Family(_validate_free_abelian, _free_abelian_series,
                            lambda cfg, n: list(islice(_series(cfg), n + 1)),
+                           lambda cfg: oracle.FreeAbelian(cfg.dim),
                            parameters=lambda cfg: {"dim": cfg.dim},
                            compare=_compare_free_abelian),
     "raag": Family(_validate_raag, lambda cfg: raag.sphere_series(cfg.graph()),
                    lambda cfg, n: raag.class_spheres(cfg.graph(), n),
+                   lambda cfg: oracle.RaagGroup(cfg.graph()),
                    parameters=lambda cfg: {"graph": cfg.graph_path}),
     "lamplighter": Family(_validate_lamplighter, lambda cfg: lamplighter.SERIES,
-                          lambda cfg, n: lamplighter.conjugacy_counts(n)[0]),
+                          lambda cfg, n: lamplighter.conjugacy_counts(n)[0],
+                          lambda cfg: oracle.Lamplighter()),
     "dihedral-inf": Family(_validate_dihedral, lambda cfg: oracle.DIHEDRAL_SERIES,
                            lambda cfg, n: oracle.dihedral_class_spheres(n),
-                           compare=_compare_dihedral),
+                           lambda cfg: oracle.DihedralInfinite(),
+                           compare=lambda cfg, group: ([(0,), (0, 1)],
+                                                       oracle.dihedral_conjugacy_key)),
     "heisenberg": Family(_validate_heisenberg, lambda cfg: oracle.HEISENBERG_SERIES,
-                         lambda cfg, n: oracle.heisenberg_class_spheres(n)),
+                         lambda cfg, n: oracle.heisenberg_class_spheres(n),
+                         lambda cfg: oracle.Heisenberg()),
 }
 
 
 def run_validate(cfg: RunConfig) -> tuple[str, bool]:
-    family = FAMILIES[cfg.family]
-    checks = family.validate(cfg)
+    checks = FAMILIES[cfg.family].validate(cfg)
     all_ok = all(ok for _, _, ok in checks)
     if cfg.fmt == "json":
-        payload = {
-            "family": cfg.family,
-            "parameters": family.parameters(cfg),
-            "max_n": cfg.max_n,
-            "checks": [{"name": name, "radius": radius, "passed": ok}
-                       for name, radius, ok in checks],
-            "all_passed": all_ok,
-        }
-        return _json_table(payload), all_ok
+        payload = {"checks": [{"name": name, "radius": radius, "passed": ok}
+                              for name, radius, ok in checks], "all_passed": all_ok}
+        return _json_table(payload, cfg), all_ok
     lines = [f"{'PASS' if ok else 'FAIL'}  {name} (radius {radius})"
              for name, radius, ok in checks]
     lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
@@ -460,23 +412,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "necklace":
-            _emit(run_necklace(args.counts_file, args.fmt), args.out)
-            return 0
-        # each verb's options are RunConfig fields; the ones it lacks keep their defaults
-        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
-        if args.command == "growth":
-            _emit(run_growth(cfg), cfg.out)
-            return 0
-        if args.command == "compare":
-            _emit(run_compare(cfg), cfg.out)
-            return 0
-        if args.command == "validate":
-            text, ok = run_validate(cfg)
-            _emit(text, cfg.out)
-            return 0 if ok else 1
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OSError, ClosureHypothesisError, GraphFormatError,
-            BudgetExceededError, oracle.GenerationError) as exc:
+            text, ok = run_necklace(args.counts_file, args.fmt), True
+        else:
+            # each verb's options are RunConfig fields; the ones it lacks keep their defaults
+            cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
+            verb = {"growth": run_growth, "compare": run_compare}.get(args.command)
+            text, ok = (verb(cfg), True) if verb else run_validate(cfg)
+        _emit(text, args.out)
+        return 0 if ok else 1
+    except (ValueError, OSError, BudgetExceededError, oracle.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -341,14 +341,15 @@ def key_class_counts(dist: dict, key: Callable, max_n: int):
     return min_length_census(dist.items(), key, max_n)
 
 
-def _check_generates(target, other, probe_radius: int = 2, cap: int = 12) -> None:
-    """Every element of the target's small ball must appear in some ball of
-    the other set; BFS expands one radius at a time up to ``cap``."""
-    targets = set(ball_enumerate(target, probe_radius)[0])
+def _check_generates(target, other, cap: int = 12) -> None:
+    """Every generator of the target set must appear in some ball of the
+    other set, so the other set generates the target's group; BFS expands
+    one radius at a time up to ``cap`` and stops after the radius that finds
+    the last."""
+    targets = set(target.generators)
     limit = default_budget()
     seen = {other.identity}
     frontier = [other.identity]
-    targets -= seen
     for _ in range(cap):
         if not targets:
             return
@@ -359,7 +360,7 @@ def _check_generates(target, other, probe_radius: int = 2, cap: int = 12) -> Non
                 if y not in seen:
                     if len(seen) >= limit:
                         raise GenerationError(
-                            "generation check ran out of budget before covering the probe ball"
+                            "generation check ran out of budget before reaching every generator"
                         )
                     seen.add(y)
                     nxt.append(y)
@@ -367,8 +368,8 @@ def _check_generates(target, other, probe_radius: int = 2, cap: int = 12) -> Non
         frontier = nxt
     if targets:
         raise GenerationError(
-            f"{len(targets)} probe element(s) of radius {probe_radius} "
-            f"not reached within radius {cap} of the other generating set"
+            f"{len(targets)} generator(s) not reached within radius {cap} "
+            "of the other generating set"
         )
 
 
@@ -397,6 +398,7 @@ def generating_set_comparison(group, gens_x, gens_y, max_n: int,
     """
     group_x = with_generators(group, gens_x)
     group_y = with_generators(group, gens_y)
+    # <X> = <Y> exactly when each set lies in the group the other generates
     _check_generates(group_x, group_y)
     _check_generates(group_y, group_x)
 

@@ -452,8 +452,18 @@ class TestGeneratingSetComparison:
         monkeypatch.setattr(oracle, "ball_enumerate", recording)
         generating_set_comparison(DihedralInfinite(), [(0,), (1,)], [(0,), (0, 1)], 20,
                                   slack=4)
-        # the two generation probes at radius 2, then one padded BFS per side
-        assert radii == [2, 2, 24, 24]
+        # the generation checks run no BFS of their own: one padded BFS per side
+        assert radii == [24, 24]
+
+    def test_generation_check_looks_only_for_the_generators(self, monkeypatch):
+        # B(1) of the extended set has 603 elements and holds every standard
+        # generator; B(2) of F300 (359,401 elements) is never enumerated
+        monkeypatch.setenv("CONJRATIO_BUDGET", "1000")
+        standard = FreeGroup(300)
+        extended = with_generators(standard, [*standard.generators, free_word([0, 2])])
+        oracle._check_generates(standard, extended)
+        with pytest.raises(GenerationError, match="2 generator"):
+            oracle._check_generates(FreeAbelian(1), with_generators(FreeAbelian(1), [(2,)]))
 
     def test_non_generating_set_is_rejected(self):
         g = FreeAbelian(1)
