@@ -71,7 +71,6 @@ class RunConfig:
 class GrowthData:
     sphere: list[int]
     conj_sphere: list[int]
-    truncated: bool = False  # True when the budget cut the table short of max_n
 
 
 def _series(cfg: RunConfig) -> Iterator[int]:
@@ -86,30 +85,33 @@ def _free_abelian_series(cfg: RunConfig):
 
 
 def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
-    """Take |S(0..max_n)| lazily, summing them into balls, and stop at the
-    first ball over the element budget, naming the radius before it, as the
-    BFS's own error would. Returns the sphere sizes taken."""
+    """Take |S(0..max_n)| lazily, summing them into balls, up to the last
+    ball within the element budget. Returns the sphere sizes taken: fewer
+    than max_n + 1 when the budget stopped them."""
     budget, ball, charged = default_budget(), 0, []
-    for n, sphere in enumerate(islice(spheres, max_n + 1)):
+    for sphere in islice(spheres, max_n + 1):
         ball += sphere
         if ball > budget:
-            raise BudgetExceededError(n - 1, budget)
+            break
         charged.append(sphere)
     return charged
 
 
-def _growth_data(cfg: RunConfig, max_n: int) -> GrowthData:
-    return GrowthData(_charge_budget(_series(cfg), max_n),
-                      FAMILIES[cfg.family].classes(cfg, max_n))
+def _charge_whole_ball(cfg: RunConfig, max_n: int) -> list[int]:
+    """|S(0..max_n)|, or the BFS's own budget error naming the last radius that fits."""
+    spheres = _charge_budget(_series(cfg), max_n)
+    if len(spheres) <= max_n:
+        raise BudgetExceededError(len(spheres) - 1, default_budget())
+    return spheres
+
+
+def _growth_data(cfg: RunConfig, spheres: list[int]) -> GrowthData:
+    return GrowthData(spheres, FAMILIES[cfg.family].classes(cfg, len(spheres) - 1))
 
 
 def _growth_with_truncation(cfg: RunConfig) -> GrowthData:
-    try:
-        return _growth_data(cfg, cfg.max_n)
-    except BudgetExceededError as exc:
-        data = _growth_data(cfg, exc.completed)
-        data.truncated = True
-        return data
+    """The table to the last radius the budget allows, charged once."""
+    return _growth_data(cfg, _charge_budget(_series(cfg), cfg.max_n))
 
 
 def _growth_columns(data: GrowthData) -> dict[str, list]:
@@ -130,9 +132,7 @@ def _growth_columns(data: GrowthData) -> dict[str, list]:
 def _csv_table(header: Sequence[str], columns: dict[str, list],
                trailer: Optional[str] = None) -> str:
     lines = [",".join(header)]
-    length = len(columns[header[0]])
-    for i in range(length):
-        lines.append(",".join(str(columns[name][i]) for name in header))
+    lines += (",".join(map(str, row)) for row in zip(*(columns[name] for name in header)))
     if trailer is not None:
         lines.append(trailer)
     return "\n".join(lines) + "\n"
@@ -150,7 +150,7 @@ def _json_table(payload: dict, cfg: Optional[RunConfig] = None) -> str:
 def run_growth(cfg: RunConfig) -> str:
     data = _growth_with_truncation(cfg)
     columns = _growth_columns(data)
-    truncated_at = len(data.sphere) - 1 if data.truncated else None
+    truncated_at = len(data.sphere) - 1 if len(data.sphere) <= cfg.max_n else None
     if cfg.fmt == "csv":
         trailer = None if truncated_at is None else f"#truncated,{truncated_at}"
         return _csv_table(GROWTH_HEADER, columns, trailer)
@@ -176,7 +176,7 @@ def run_compare(cfg: RunConfig) -> str:
         raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
     # the standard set's B(max_n), and B(2) at least: the generation check
     # meets set y's generators there (3e of free-abelian one radius later)
-    _charge_budget(_series(cfg), max(cfg.max_n, 2))
+    _charge_whole_ball(cfg, max(cfg.max_n, 2))
     group = family.group(cfg)
     if cfg.max_n + 1 < cfg.window:
         raise ValueError(f"need at least {cfg.window} terms, got {cfg.max_n + 1}")
@@ -249,7 +249,7 @@ def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
     n = min(cfg.max_n, cap)
     default = max(n, 1) if default_slack is None else default_slack
     slack = default if cfg.slack is None else cfg.slack
-    spheres = _charge_budget(_series(cfg), n + slack)[:n + 1]
+    spheres = _charge_whole_ball(cfg, n + slack)[:n + 1]
     family = FAMILIES[cfg.family]
     table = oracle.conjugacy_classes(family.group(cfg), n, slack=slack)
     rows = []
@@ -279,7 +279,7 @@ def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     return _suite(cfg, 5, 2, ("raag: ball counts vs oracle BFS",
                               "raag: conjugacy counts vs oracle"),
-                  raag.Raag(cfg.graph()).element_key)[1]
+                  raag.for_graph(cfg.graph()).element_key)[1]
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:

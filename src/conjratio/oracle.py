@@ -14,7 +14,9 @@ censuses scan B(N) only, in BFS order, so a class's first element there is
 its shortest. The closure is exact where a conjugator-length argument
 exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
 B(N)) and elsewhere it is reported together with a stability flag
-comparing against slack - 1.
+comparing against slack - 1. Generating-set comparison needs no closure:
+it counts each side's classes by an exact conjugacy key over that side's
+ball.
 
 Also hosts the two coordinate groups used as worked examples: the
 infinite dihedral group (normal forms: alternating words in two
@@ -34,7 +36,7 @@ from typing import Any, Callable, Iterable, Optional
 from . import free_group
 from . import lamplighter as lamp
 from .errors import BudgetExceededError, default_budget
-from .raag import GraphSpec, Raag
+from .raag import GraphSpec, for_graph
 from .sequences import WindowEstimate, min_length_census, ratio, window_estimate
 from .words import divisors, euler_phi
 
@@ -181,8 +183,8 @@ def heisenberg_class_spheres(max_n: int) -> list[int]:
 
 
 def RaagGroup(graph: GraphSpec) -> Group:
-    """Right-angled Artin group over pile elements."""
-    artin = Raag(graph)
+    """Right-angled Artin group over pile elements, on the graph's one ``Raag``."""
+    artin = for_graph(graph)
     return Group(artin.identity(), artin.generators(), artin.multiply, artin.invert)
 
 
@@ -387,14 +389,13 @@ class ComparisonReport:
         return abs(self.estimate_x.peak - self.estimate_y.peak)
 
 
-def generating_set_comparison(group, gens_x, gens_y, max_n: int,
-                              slack: Optional[int] = None, window: int = 5,
-                              key: Optional[Callable] = None) -> ComparisonReport:
+def generating_set_comparison(group, gens_x, gens_y, max_n: int, key: Callable,
+                              window: int = 5) -> ComparisonReport:
     """Side-by-side C(n)/B(n) under two word metrics on the same group.
 
-    With an exact ``key`` (a generating-set-independent conjugacy
-    invariant) classes are counted directly; otherwise by union-find with
-    the given slack.
+    ``key`` is an exact conjugacy invariant that does not depend on the
+    generating set, so each side's classes are counted from the key over
+    one BFS of that side's ball.
     """
     group_x = with_generators(group, gens_x)
     group_y = with_generators(group, gens_y)
@@ -403,12 +404,8 @@ def generating_set_comparison(group, gens_x, gens_y, max_n: int,
     _check_generates(group_y, group_x)
 
     def one_side(carried: Group) -> tuple[tuple[Fraction, ...], WindowEstimate]:
-        if key is not None:
-            dist, spheres = ball_enumerate(carried, max_n)
-            _, conj_balls = key_class_counts(dist, key, max_n)
-        else:
-            table = conjugacy_classes(carried, max_n, slack=slack)
-            spheres, conj_balls = table.spheres, table.ball_classes
+        dist, spheres = ball_enumerate(carried, max_n)
+        _, conj_balls = key_class_counts(dist, key, max_n)
         ratios = ratio(conj_balls, list(accumulate(spheres)))
         return ratios, window_estimate(ratios, window)
 

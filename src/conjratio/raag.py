@@ -484,7 +484,8 @@ class Raag:
 _RAAG_CACHE: dict[GraphSpec, Raag] = {}
 
 
-def _raag(graph: GraphSpec) -> Raag:
+def for_graph(graph: GraphSpec) -> Raag:
+    """The graph's one ``Raag``: the counter, series, oracle group and key share it."""
     group = _RAAG_CACHE.get(graph)
     if group is None:
         group = _RAAG_CACHE[graph] = Raag(graph)
@@ -492,12 +493,12 @@ def _raag(graph: GraphSpec) -> Raag:
 
 
 def normal_form(word: Sequence[int], graph: GraphSpec) -> tuple[int, ...]:
-    return _raag(graph).normal_form(word)
+    return for_graph(graph).normal_form(word)
 
 
 def is_cyclic_normal_form(word: Sequence[int], graph: GraphSpec) -> bool:
     """True iff every cyclic rotation is itself a shortlex normal form."""
-    group = _raag(graph)
+    group = for_graph(graph)
     w = tuple(word)
     return all(
         group.normal_form(rotate(w, r)) == rotate(w, r) for r in range(max(len(w), 1))
@@ -505,11 +506,11 @@ def is_cyclic_normal_form(word: Sequence[int], graph: GraphSpec) -> bool:
 
 
 def conj_key(word: Sequence[int], graph: GraphSpec):
-    return _raag(graph).conj_key(word)
+    return for_graph(graph).conj_key(word)
 
 
 def counts(graph: GraphSpec, max_n: int) -> RaagCounts:
-    return _raag(graph).counts(max_n)
+    return for_graph(graph).counts(max_n)
 
 
 # Growth by formula over the cotree of a cograph: a graph built from single
@@ -617,7 +618,7 @@ def sphere_series(graph: GraphSpec) -> tuple[Iterable[int], Iterable[int]]:
     cograph C comes from the cotree (a vertex is 1 + x, a join multiplies,
     a union adds) and (1 + t)^w is cleared, so the denominator is finite;
     over other graphs the denominator is read term by term."""
-    group = _raag(graph)
+    group = for_graph(graph)
     if group.cotree is None:
         return (1,), _chiswell_denominator(group)
     return _sphere_series(_compose(group.cotree, [1, 1], _multiply, _add_less_one))
@@ -628,7 +629,7 @@ def class_spheres(graph: GraphSpec, n: int) -> list[int]:
     over the cotree: a vertex is Z with classes 1, 2, 2, ...; a join
     convolves; a union is a free product (``_free_product_classes``).
     Other graphs run the word counter to radius n."""
-    tree = _raag(graph).cotree
+    tree = for_graph(graph).cotree
     if tree is None:
         return counts(graph, n).conj_sphere
     return _compose(

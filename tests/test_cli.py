@@ -246,6 +246,26 @@ class TestTruncation:
         monkeypatch.setenv("CONJRATIO_BUDGET", "161")
         assert run_cli(["growth", "--family", "free", "--max-n", "8"]) == (code, out, err)
 
+    @pytest.mark.parametrize("max_n,budget,last_line", [
+        ("20", "1000", "#truncated,5"),  # |B(5)| = 485 and |B(6)| = 1,457 for rank 2
+        ("8", "5000000", "8,"),
+    ], ids=["truncated", "whole"])
+    def test_growth_reads_its_series_once(self, monkeypatch, max_n, budget, last_line):
+        monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+        argv = ["growth", "--family", "free", "--max-n", max_n]
+        expected = run_cli(argv)
+        assert expected[0] == 0 and expected[1].splitlines()[-1].startswith(last_line)
+        right, calls = cli.FAMILIES["free"], []
+
+        def counting_series(cfg):
+            calls.append(cfg)
+            return right.series(cfg)
+
+        monkeypatch.setitem(cli.FAMILIES, "free",
+                            dataclasses.replace(right, series=counting_series))
+        assert run_cli(argv) == expected
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("dim,n,ball", [(3, 5, 231), (1, 5, 11)])
     def test_free_abelian_budget_boundary(self, monkeypatch, dim, n, ball):
         argv = ["growth", "--family", "free-abelian", "--dim", str(dim), "--max-n"]
@@ -635,6 +655,19 @@ class TestValidate:
         assert code == 0
         assert out.splitlines()[-1] == "all checks passed"
 
+    def test_raag_suite_builds_one_raag(self, monkeypatch, p3_path):
+        built, init = [], raag.Raag.__init__
+
+        def counting_init(group, graph):
+            built.append(graph)
+            init(group, graph)
+
+        monkeypatch.setattr(raag.Raag, "__init__", counting_init)
+        monkeypatch.setattr(raag, "_RAAG_CACHE", {})
+        code, _, _ = run_cli(["validate", "--family", "raag", "--graph", p3_path,
+                              "--max-n", "3"])
+        assert code == 0 and len(built) == 1
+
     def test_lamplighter_names_its_checks(self):
         _, out, _ = run_cli(["validate", "--family", "lamplighter", "--max-n", "7"])
         assert "PASS  lamplighter: metric formula vs BFS distance (radius 7)" in out
@@ -777,6 +810,32 @@ class TestFuzz:
         counts = raag.counts(raag.graph_from_text(text), radius)
         assert [int(row[2]) for row in body] == counts.sphere
         assert [int(row[4]) for row in body] == counts.conj_sphere
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(["free", "free-abelian", "lamplighter", "dihedral-inf",
+                                   "heisenberg"]),
+           rank=st.integers(min_value=1, max_value=10 ** 6),
+           dim=st.integers(min_value=1, max_value=10 ** 4),
+           max_n=st.integers(min_value=0, max_value=10 ** 6),
+           budget=st.integers(min_value=1, max_value=20000))
+    def test_formula_growth_on_extreme_flags(self, family, rank, dim, max_n, budget):
+        with mock.patch.dict(os.environ, {"CONJRATIO_BUDGET": str(budget)}):
+            code, out, err = run_cli(["growth", "--family", family, "--rank", str(rank),
+                                      "--dim", str(dim), "--max-n", str(max_n)])
+        assert (code, err) == (0, "")
+        body = rows(out)
+        trailer = out.splitlines()[-1] if body[-1][0].startswith("#") else None
+        body = body[:-1] if trailer else body
+        assert [int(row[0]) for row in body] == list(range(len(body)))
+        assert (trailer is not None) == (len(body) < max_n + 1)
+        if trailer:
+            assert trailer == f"#truncated,{body[-1][0]}"
+        cfg = RunConfig(family, rank=rank, dim=dim, max_n=max_n)
+        series = cli._series(cfg)
+        assert [int(row[2]) for row in body] == list(itertools.islice(series, len(body)))
+        assert int(body[-1][1]) <= budget
+        if trailer:  # the next ball would not have fit
+            assert int(body[-1][1]) + next(series) > budget
 
     @staticmethod
     def assert_exit_contract(code, out, err):

@@ -412,7 +412,7 @@ class TestGeneratingSetComparison:
             ((1,), (-1,)),
             ((2,), (-2,), (3,), (-3,)),
             12,
-            slack=1,
+            key=lambda x: x,
         )
         assert set(report.ratios_x) == {Fraction(1)}
         assert set(report.ratios_y) == {Fraction(1)}
@@ -422,8 +422,7 @@ class TestGeneratingSetComparison:
         g = DihedralInfinite()
         other = with_generators(g, [(0,), (0, 1)])
         report = generating_set_comparison(
-            g, g.generators, other.generators, 40, slack=2,
-            key=dihedral_conjugacy_key,
+            g, g.generators, other.generators, 40, key=dihedral_conjugacy_key,
         )
         assert report.estimate_x.peak == Fraction(21, 73)
         assert report.estimate_y.peak == Fraction(13, 48)
@@ -442,7 +441,7 @@ class TestGeneratingSetComparison:
         for ratios in (report.ratios_x, report.ratios_y):
             assert all(b < a for a, b in zip(ratios[2:], ratios[3:]))
 
-    def test_keyless_comparison_enumerates_each_side_once(self, monkeypatch):
+    def test_comparison_enumerates_each_side_once(self, monkeypatch):
         radii = []
 
         def recording(group, max_n):
@@ -451,9 +450,10 @@ class TestGeneratingSetComparison:
 
         monkeypatch.setattr(oracle, "ball_enumerate", recording)
         generating_set_comparison(DihedralInfinite(), [(0,), (1,)], [(0,), (0, 1)], 20,
-                                  slack=4)
-        # the generation checks run no BFS of their own: one padded BFS per side
-        assert radii == [24, 24]
+                                  key=dihedral_conjugacy_key)
+        # the generation checks run no BFS of their own, and the key needs no
+        # padding: one BFS of B(20) per side
+        assert radii == [20, 20]
 
     def test_generation_check_looks_only_for_the_generators(self, monkeypatch):
         # B(1) of the extended set has 603 elements and holds every standard
@@ -468,4 +468,4 @@ class TestGeneratingSetComparison:
     def test_non_generating_set_is_rejected(self):
         g = FreeAbelian(1)
         with pytest.raises(GenerationError):
-            generating_set_comparison(g, ((1,), (-1,)), ((2,), (-2,)), 6, slack=1)
+            generating_set_comparison(g, ((1,), (-1,)), ((2,), (-2,)), 6, key=lambda x: x)

@@ -2,7 +2,9 @@
 name. Installing and removing it here catches a renamed or deleted name in
 the fast suite; the tracer's own tests live outside it."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 from conjratio import cli, oracle, raag
@@ -38,3 +40,31 @@ def test_groups_built_under_the_tracer_call_its_wrappers():
         hooks.remove()
     assert recorder.counts.get("free_group.multiply.calls", 0) > 0
     assert recorder.calls.get("raag.multiply", 0) > 0
+
+
+def test_truncated_growth_runs_once_under_the_tracer(tmp_path, monkeypatch):
+    # the benchmark's budget-truncated growth config: P3 to radius 12 under a
+    # budget of 30,000 elements stops at radius 8
+    path = tmp_path / "p3.graph"
+    path.write_text("vertices: a b c\nedge: a b\nedge: b c\n", encoding="utf-8")
+    monkeypatch.setenv("CONJRATIO_BUDGET", "30000")
+    argv = ["growth", "--family", "raag", "--graph", str(path), "--max-n", "12"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, out.getvalue()
+
+    untraced = run()
+    assert untraced[0] == 0 and untraced[1].splitlines()[-1] == "#truncated,8"
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    hooks = tracer.Instrumentation(recorder)
+    try:
+        traced = run()
+    finally:
+        hooks.remove()
+    assert traced == untraced
+    assert recorder.calls["cli.dispatch"] == 1
+    assert "cli.truncation_rerun" not in recorder.calls
