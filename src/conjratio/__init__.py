@@ -3,7 +3,7 @@ generated groups, with a brute-force Cayley-graph oracle for
 cross-validation and a CLI that emits deterministic growth tables.
 """
 
-from .errors import BudgetExceededError, ConsistencyError, default_budget
+from .errors import BudgetExceededError, default_budget
 from .sequences import (
     VanishingReport,
     WindowEstimate,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "ClosureHypothesisError",
-    "ConsistencyError",
     "GraphFormatError",
     "GraphSpec",
     "Raag",

@@ -1,4 +1,4 @@
-"""Shared runtime guards: element budgets and cross-check failures."""
+"""Shared runtime guard: the element budget."""
 
 from __future__ import annotations
 
@@ -33,6 +33,3 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         super().__init__(f"element budget {budget} exceeded; completed radius {completed}")
 
-
-class ConsistencyError(RuntimeError):
-    """Two computations that must agree did not. Always a bug, never data."""

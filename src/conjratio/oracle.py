@@ -183,9 +183,9 @@ def heisenberg_class_spheres(max_n: int) -> list[int]:
 
 
 def RaagGroup(graph: GraphSpec) -> Group:
-    """Right-angled Artin group over pile elements, on the graph's one ``Raag``."""
+    """Right-angled Artin group over shortlex normal forms, on the graph's one ``Raag``."""
     artin = for_graph(graph)
-    return Group(artin.identity(), artin.generators(), artin.multiply, artin.invert)
+    return Group((), artin.generators(), artin.multiply, artin.invert)
 
 
 def Lamplighter() -> Group:

@@ -11,29 +11,25 @@ other graphs the series' denominator is read term by term from clique
 counts, and the classes come from the word counter ``counts``, which
 also backs the tests.
 
-Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and every
-element has one shortlex normal form: its least geodesic word. The counter
-works on these words alone. ``elements`` grows each sphere from the last
-by appending a letter. A backward scan passes the letters the new one
-commutes with and stops at the first it cannot pass; the word is kept
-unless that letter is the new one's inverse (the word would shorten) or a
-passed letter is greater (the new letter would move left of it).
-``counts`` opens one class per cyclically reduced normal form not yet seen
-and marks its ``cyclic_class`` seen: such words have the least length in
-their class, and two of them are conjugate exactly when moving letters that
-can reach the front to the end connects them. Sets of generators are
-bitmasks, so each scan costs one mask test per letter. The counter computes
-no class key: the split/non-split keys of ``conj_key`` back ``validate``.
-
-The oracle route (``element``, ``word``, ``multiply``, ``invert``,
-``cyclic_reduce``) stores an element as "piles", one stack per generator:
-the stack for generator g holds +1/-1 entries for g-letters and 0 markers
-recording where letters of noncommuting generators interleave. Pushing a
-letter cancels against the top of its own pile exactly when the element
-shortens, so the pile state is a canonical form, and the normal form falls
-out by repeatedly emitting the least letter whose pile has a real entry at
-the bottom. The oracle's union-find closure multiplies pile elements and
-so checks the counter's class counts by an independent route.
+Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and an
+element is its shortlex normal form, its least geodesic word, as a tuple of
+codes; there is no other representation. ``word`` multiplies a normal form
+by letters one at a time: a backward scan passes the letters the new one
+commutes with and stops at the first it cannot pass; if that letter is the
+new one's inverse it is deleted, and otherwise the new letter goes in before
+the leftmost greater letter it passed. The oracle's ``multiply``, ``invert``
+and ``cyclic_reduce``, the class keys and the counter's ``cyclic_class`` all
+go through it. ``elements`` grows each sphere from the last by appending a
+letter, with the same scan: the word is kept unless the scan stops at the
+new letter's inverse (the word would shorten) or passes a greater letter
+(the new letter would move left of it). ``counts`` opens one class per
+cyclically reduced normal form not yet seen and marks its ``cyclic_class``
+seen: such words have the least length in their class, and two of them are
+conjugate exactly when moving letters that can reach the front to the end
+connects them. Sets of generators are bitmasks, so each scan costs one mask
+test per letter. The counter computes no class key: the split/non-split
+keys of ``conj_key`` back ``validate``, and the oracle's BFS and union-find
+closure check the counter by an independent route.
 """
 
 from __future__ import annotations
@@ -43,11 +39,9 @@ from itertools import chain, count, islice, repeat, zip_longest
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, ConsistencyError, default_budget
+from .errors import BudgetExceededError, default_budget
 from .sequences import convolve, iter_series
 from .words import cycrep_counts, least_rotation, rotate
-
-Piles = tuple[tuple[int, ...], ...]
 
 
 class GraphFormatError(ValueError):
@@ -198,15 +192,11 @@ class Raag:
             adj[i].add(j)
             adj[j].add(i)
         self.adjacent = tuple(frozenset(s) for s in adj)
-        self.noncommuting = tuple(
-            tuple(j for j in range(self.k) if j != i and j not in adj[i])
-            for i in range(self.k)
-        )
         # bit j of _blocks[i]: a letter of generator i keeps a later letter
-        # of generator j from moving left past it (j == i included)
-        self._blocks = tuple(
-            sum(1 << j for j in others) | 1 << i for i, others in enumerate(self.noncommuting)
-        )
+        # of generator j from moving left past it (j == i included): every
+        # vertex but i's neighbours
+        everyone = (1 << self.k) - 1
+        self._blocks = tuple(everyone & ~sum(1 << j for j in s) for s in adj)
         self.cotree = self._cotree()
 
     def _cotree(self) -> Optional[Cotree]:
@@ -234,117 +224,48 @@ class Raag:
             nodes[at] = (join, children)
         return tuple(nodes)
 
-    # pile plumbing
+    # elements: shortlex normal forms
 
-    def identity(self) -> Piles:
-        return tuple(() for _ in range(self.k))
-
-    def _thaw(self, piles: Piles) -> list[list[int]]:
-        return [list(p) for p in piles]
-
-    def _freeze(self, piles: list[list[int]]) -> Piles:
-        return tuple(tuple(p) for p in piles)
-
-    def _push(self, piles: list[list[int]], code: int) -> None:
-        i, s = code >> 1, (-1 if code & 1 else 1)
-        if not 0 <= i < self.k:
-            raise ValueError(f"letter index {i} out of range for {self.k} generators")
-        own = piles[i]
-        if own and own[-1] == -s:
-            self._pop(piles, i, -1)
-        else:
-            own.append(s)
-            for j in self.noncommuting[i]:
-                piles[j].append(0)
-
-    def _front_codes(self, piles) -> list[int]:
-        """Letters extractable as a first letter, in increasing letter order:
-        generator g is available iff the bottom of its own pile is real."""
-        out = []
-        for i in range(self.k):
-            p = piles[i]
-            if p and p[0] != 0:
-                out.append(2 * i + (0 if p[0] > 0 else 1))
-        return out
-
-    def _pop(self, piles: list[list[int]], gen: int, end: int) -> None:
-        """Remove one letter of generator gen from the given end (0 front,
-        -1 back), with the marker it left on each noncommuting pile."""
-        if piles[gen].pop(end) == 0:
-            raise ConsistencyError("pile invariant broken: popped a marker as a letter")
-        for j in self.noncommuting[gen]:
-            if piles[j].pop(end) != 0:
-                raise ConsistencyError("pile invariant broken: expected a marker at the end")
-
-    # element interface
-
-    def element(self, word: Sequence[int]) -> Piles:
-        piles: list[list[int]] = [[] for _ in range(self.k)]
-        for code in word:
-            self._push(piles, code)
-        return self._freeze(piles)
-
-    def word(self, piles: Piles) -> tuple[int, ...]:
-        """Shortlex normal form: repeatedly emit the least extractable letter."""
-        work = self._thaw(piles)
-        out: list[int] = []
-        while True:
-            fronts = self._front_codes(work)
-            if not fronts:
-                break
-            code = fronts[0]
-            self._pop(work, code >> 1, 0)
-            out.append(code)
-        if any(work):
-            raise ConsistencyError("markers left behind after extracting every letter")
+    def word(self, letters: Iterable[int], start: Sequence[int] = ()) -> tuple[int, ...]:
+        """Normal form of start * letters, for a normal form ``start``. Each
+        letter c scans back over the letters it commutes with; if the letter
+        that stops the scan is c's inverse, that letter is deleted (it
+        commutes with every letter after it, so the rest stays a normal
+        form), and otherwise c goes in before the leftmost greater letter it
+        passed, or at the end."""
+        blocks = self._blocks
+        top = 2 * self.k
+        out = list(start)
+        for c in letters:
+            if not 0 <= c < top:
+                raise ValueError(f"letter code {c} out of range for {self.k} generators")
+            mask = blocks[c >> 1]
+            at = i = len(out)
+            while i and not mask >> (out[i - 1] >> 1) & 1:
+                i -= 1
+                if out[i] > c:
+                    at = i
+            if i and out[i - 1] == c ^ 1:
+                del out[i - 1]
+            else:
+                out.insert(at, c)
         return tuple(out)
 
-    def normal_form(self, word: Sequence[int]) -> tuple[int, ...]:
-        return self.word(self.element(word))
+    def multiply(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return self.word(y, x)
 
-    def word_length(self, piles: Piles) -> int:
-        return sum(1 for p in piles for e in p if e != 0)
+    def invert(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        return self.word([c ^ 1 for c in reversed(x)])
 
-    def multiply(self, x: Piles, y: Piles) -> Piles:
-        work = self._thaw(x)
-        for code in self.word(y):
-            self._push(work, code)
-        return self._freeze(work)
-
-    def invert(self, x: Piles) -> Piles:
-        piles: list[list[int]] = [[] for _ in range(self.k)]
-        for code in reversed(self.word(x)):
-            self._push(piles, code ^ 1)
-        return self._freeze(piles)
-
-    def generators(self) -> tuple[Piles, ...]:
-        return tuple(
-            self.element((code,)) for i in range(self.k) for code in (2 * i, 2 * i + 1)
-        )
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple((c,) for c in range(2 * self.k))
 
     # conjugacy machinery
 
-    def _peelable(self, piles) -> Optional[int]:
-        for i in range(self.k):
-            p = piles[i]
-            if len(p) >= 2 and p[0] != 0 and p[0] == -p[-1]:
-                return i
-        return None
-
-    def cyclic_reduce(self, piles: Piles) -> Piles:
-        """Shortest conjugate: peel matching first/last letters of one
-        generator until none remain."""
-        work = self._thaw(piles)
-        while True:
-            gen = self._peelable(work)
-            if gen is None:
-                return self._freeze(work)
-            self._pop(work, gen, 0)
-            self._pop(work, gen, -1)
-
-    def _cyclically_reduced(self, word: tuple[int, ...]) -> bool:
-        """For a normal form: no generator has a letter that can move to the
-        front while its inverse can move to the back."""
+    def _peel(self, word: tuple[int, ...]) -> Optional[int]:
+        """For a normal form: the position of a letter that can move to the
+        back while its inverse can move to the front, or None when there is
+        none, that is when the word is cyclically reduced."""
         blocks = self._blocks
         fronts = blocked = 0
         for c in word:
@@ -352,36 +273,29 @@ class Raag:
                 fronts |= 1 << c
             blocked |= blocks[c >> 1]
         blocked = 0
-        for c in reversed(word):
+        for j, c in enumerate(reversed(word), 1):
             if not blocked >> (c >> 1) & 1 and fronts >> (c ^ 1) & 1:
-                return False
+                return len(word) - j
             blocked |= blocks[c >> 1]
-        return True
+        return None
+
+    def cyclic_reduce(self, word: tuple[int, ...]) -> tuple[int, ...]:
+        """Shortest conjugate of a normal form: drop a letter that can move to
+        the back together with its inverse, which can move to the front (its
+        first letter of that generator), and renormalise, until none is left."""
+        while (j := self._peel(word)) is not None:
+            i = word.index(word[j] ^ 1)
+            word = self.word(word[:i] + word[i + 1:j] + word[j + 1:])
+        return word
 
     def _support_edge_free(self, support) -> bool:
         return all(v not in self.adjacent[u] for u in support for v in support)
 
-    def _shortlex(self, word: Sequence[int]) -> tuple[int, ...]:
-        """Normal form of a geodesic word, built by inserting its letters
-        one at a time. Letter c goes to the first position after the last
-        letter that blocks it whose letter is greater than c, or at the
-        end; that is where the least-first-letter rule puts it."""
-        blocks = self._blocks
-        out: list[int] = []
-        for c in word:
-            mask = blocks[c >> 1]
-            at = i = len(out)
-            while i and not mask >> (out[i - 1] >> 1) & 1:
-                i -= 1
-                if out[i] > c:
-                    at = i
-            out.insert(at, c)
-        return tuple(out)
-
     def cyclic_class(self, word: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Normal forms of every same-length conjugate of a cyclically
         reduced normal form: closure under moving a letter that can reach
-        the front to the end."""
+        the front to the end. The rest of the word is renormalised, except
+        for the first letter: a suffix of a normal form is one."""
         blocks = self._blocks
         seen = {word}
         queue = [word]
@@ -390,7 +304,7 @@ class Raag:
             blocked = 0
             for j, c in enumerate(w):
                 if not blocked >> (c >> 1) & 1:
-                    nxt = self._shortlex(w[:j] + w[j + 1:] + (c,))
+                    nxt = self.word((c,), w[1:]) if j == 0 else self.word(w[:j] + w[j + 1:] + (c,))
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
@@ -399,10 +313,11 @@ class Raag:
 
     def conj_key(self, word: Sequence[int]):
         """Complete conjugacy invariant; accepts any word, reduces inside."""
-        return self.element_key(self.element(word))
+        return self.element_key(self.word(word))
 
-    def element_key(self, piles: Piles):
-        return self._key_of_reduced(self.word(self.cyclic_reduce(piles)))
+    def element_key(self, word: tuple[int, ...]):
+        """Key of a normal form."""
+        return self._key_of_reduced(self.cyclic_reduce(word))
 
     def _key_of_reduced(self, word: tuple[int, ...]):
         """Key of a cyclically reduced normal form."""
@@ -472,7 +387,7 @@ class Raag:
         seen: set[tuple[int, ...]] = set()
         for w, dist in self.elements(max_n):
             sphere[dist] += 1
-            if w in seen or not self._cyclically_reduced(w):
+            if w in seen or self._peel(w) is not None:
                 continue
             seen |= self.cyclic_class(w)
             conj_sphere[dist] += 1
@@ -493,7 +408,7 @@ def for_graph(graph: GraphSpec) -> Raag:
 
 
 def normal_form(word: Sequence[int], graph: GraphSpec) -> tuple[int, ...]:
-    return for_graph(graph).normal_form(word)
+    return for_graph(graph).word(word)
 
 
 def is_cyclic_normal_form(word: Sequence[int], graph: GraphSpec) -> bool:
@@ -501,7 +416,7 @@ def is_cyclic_normal_form(word: Sequence[int], graph: GraphSpec) -> bool:
     group = for_graph(graph)
     w = tuple(word)
     return all(
-        group.normal_form(rotate(w, r)) == rotate(w, r) for r in range(max(len(w), 1))
+        group.word(rotate(w, r)) == rotate(w, r) for r in range(max(len(w), 1))
     )
 
 

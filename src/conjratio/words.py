@@ -9,7 +9,7 @@ sequence of mutually comparable items, which lets the same code canonise
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 Item = TypeVar("Item")
 
@@ -43,21 +43,20 @@ def rotate(word: Sequence[Item], k: int) -> tuple[Item, ...]:
     return w[k:] + w[:k]
 
 
-def least_rotation(word: Sequence[Item], order: Optional[Callable] = None) -> Sequence[Item]:
+def least_rotation(word: Sequence[Item]) -> Sequence[Item]:
     """Lexicographically least cyclic rotation.
 
-    A ``str`` (without ``order``) gives a ``str``, by C-level scans: the
-    smallest period p from ``(w + w).find(w, 1)``, then the least of the
-    root's rotations that start at its least letter, repeated n / p times.
-    Worst case O(n * occurrences of the least letter) character comparisons,
-    on a primitive word.
+    A ``str`` gives a ``str``, by C-level scans: the smallest period p from
+    ``(w + w).find(w, 1)``, then the least of the root's rotations that start
+    at its least letter, repeated n / p times. Worst case O(n * occurrences
+    of the least letter) character comparisons, on a primitive word.
 
-    Any other sequence gives a tuple, by Booth's algorithm, O(n). ``order``
-    maps an item to its comparison key; by default items compare natively,
-    which is already correct for encoded letters and for bits.
+    Any other sequence gives a tuple, by Booth's algorithm, O(n), with items
+    compared natively: that is the letter order for encoded letters, and
+    0 < 1 for bits.
     """
-    if order is not None or not isinstance(word, str):
-        return _booth(word, order)
+    if not isinstance(word, str):
+        return _booth(word)
     n = len(word)
     if n <= 1:
         return word
@@ -74,13 +73,12 @@ def least_rotation(word: Sequence[Item], order: Optional[Callable] = None) -> Se
     return best * (n // p)
 
 
-def _booth(word: Sequence[Item], order: Optional[Callable]) -> tuple[Item, ...]:
+def _booth(word: Sequence[Item]) -> tuple[Item, ...]:
     w = tuple(word)
     n = len(w)
     if n <= 1:
         return w
-    keyed = w if order is None else tuple(order(x) for x in w)
-    s = keyed + keyed
+    s = w + w
     f = [-1] * (2 * n)
     k = 0
     for j in range(1, 2 * n):

@@ -164,7 +164,7 @@ def reference_class_walk(graph, max_n):
     conj_sphere = [0] * (max_n + 1)
     support_classes = Counter()
     for w, dist in r.elements(max_n):
-        if w in seen or not r._cyclically_reduced(w):
+        if w in seen or r._peel(w) is not None:
             continue
         closure = r.cyclic_class(w)
         assert seen.isdisjoint(closure), f"closure of {word_str(w)} meets an earlier class"
@@ -246,13 +246,21 @@ class TestNormalForm:
         assert raag.normal_form(nf, P3) == nf
 
     def test_exhaustive_closure_agreement_short_words(self):
-        # every word of length <= 5 over the path graph
-        for n in range(6):
-            for w in itertools.product(range(6), repeat=n):
-                expected = reference_normal_form(w, P3)
-                nf = raag.normal_form(w, P3)
-                assert nf == expected
-                assert {raag.normal_form(u, P3) for u in commutation_closure(w, P3)} == {nf}
+        # every word of length <= 5 over the path P3, <= 4 over C4 and P4
+        for graph, max_len in ((P3, 5), (C4, 4), (path_graph(4), 4)):
+            for n in range(max_len + 1):
+                for w in itertools.product(range(2 * len(graph.labels)), repeat=n):
+                    nf = raag.normal_form(w, graph)
+                    assert nf == reference_normal_form(w, graph)
+                    members = commutation_closure(w, graph)
+                    assert {raag.normal_form(u, graph) for u in members} == {nf}
+
+    @pytest.mark.parametrize("code", [-1, 6])
+    def test_out_of_range_letter_is_rejected(self, code):
+        for entry in (lambda w: raag.normal_form(w, P3), lambda w: raag.conj_key(w, P3),
+                      Raag(P3).word):
+            with pytest.raises(ValueError, match="out of range"):
+                entry((0, code))
 
     def test_sampled_closure_agreement_longer_words(self):
         rng = random.Random(7)
@@ -284,28 +292,20 @@ class TestElementArithmetic:
     @given(p3_words, p3_words)
     def test_multiply_matches_concatenation(self, u, v):
         r = Raag(P3)
-        product = r.multiply(r.element(u), r.element(v))
-        assert r.word(product) == raag.normal_form(u + v, P3)
+        product = r.multiply(r.word(u), r.word(v))
+        assert product == reference_normal_form(u + v, P3)
 
     @given(p3_words)
     def test_invert(self, w):
         r = Raag(P3)
-        e = r.element(w)
-        assert r.word(r.multiply(e, r.invert(e))) == ()
-
-    @given(p3_words)
-    def test_word_roundtrip(self, w):
-        r = Raag(P3)
-        e = r.element(w)
-        assert r.element(r.word(e)) == e
-        assert r.word_length(e) == len(r.word(e))
+        e = r.word(w)
+        assert r.multiply(e, r.invert(e)) == ()
 
     def test_word_length_is_graph_distance(self):
         group = oracle.RaagGroup(P3)
         dist, _ = oracle.ball_enumerate(group, 4)
-        r = Raag(P3)
         for e, d in dist.items():
-            assert r.word_length(e) == d
+            assert len(e) == d
 
 
 class TestCyclicNormalForm:
@@ -322,7 +322,7 @@ class TestCyclicNormalForm:
         r = Raag(graph)
         words = [w for w, _ in r.elements(max_n)]
         for w in words:
-            assert r.normal_form(w) == w
+            assert r.word(w) == w
         assert len(set(words)) == len(words)
         return set(words)
 
@@ -355,7 +355,7 @@ class TestConjKey:
     @given(p3_words, p3_words)
     def test_invariant_under_conjugation(self, w, z):
         r = Raag(P3)
-        conj = r.multiply(r.multiply(r.element(z), r.element(w)), r.invert(r.element(z)))
+        conj = r.multiply(r.multiply(r.word(z), r.word(w)), r.invert(r.word(z)))
         assert r.element_key(conj) == raag.conj_key(w, P3)
 
     @pytest.mark.parametrize("graph", [EMPTY2, EDGE2, P3, TRIANGLE, C4])
@@ -457,10 +457,10 @@ class TestCounts:
         r = Raag(graph)
         shortest = {}
         for e, cls in table.class_of.items():
-            if cls not in shortest or r.word_length(e) < r.word_length(shortest[cls]):
+            if cls not in shortest or len(e) < len(shortest[cls]):
                 shortest[cls] = e
         supports = Counter(
-            tuple(graph.labels[i] for i in sorted({code >> 1 for code in r.word(e)}))
+            tuple(graph.labels[i] for i in sorted({code >> 1 for code in e}))
             for e in shortest.values()
         )
         assert c.support_classes == dict(supports)

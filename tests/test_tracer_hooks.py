@@ -35,11 +35,14 @@ def test_groups_built_under_the_tracer_call_its_wrappers():
     hooks = tracer.Instrumentation(recorder)
     try:
         for group in (oracle.FreeGroup(2), oracle.RaagGroup(raag.path_graph(3))):
-            oracle.conjugacy_classes(group, 2, slack=1)
+            table = oracle.conjugacy_classes(group, 2, slack=1)
+        # the RAAG key spans of the benchmark's validate run
+        oracle.key_class_counts(table.dist, raag.for_graph(raag.path_graph(3)).element_key, 2)
     finally:
         hooks.remove()
     assert recorder.counts.get("free_group.multiply.calls", 0) > 0
-    assert recorder.calls.get("raag.multiply", 0) > 0
+    for name in ("raag.multiply", "raag.word", "raag.cyclic_reduce", "raag.key"):
+        assert recorder.calls.get(name, 0) > 0, name
 
 
 def test_truncated_growth_runs_once_under_the_tracer(tmp_path, monkeypatch):
