@@ -14,13 +14,12 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import free_group, lamplighter, oracle, raag
 from .errors import BudgetExceededError, default_budget
-# convolve and window_estimate are not called here; perfbench/tracer.py wraps these names
-from .sequences import convolve, decimal_str, iter_series, window_estimate
+# convolve is not called here; perfbench/tracer.py wraps the name
+from .sequences import convolve, decimal_str, iter_power, iter_series, ratio, window_estimate
 from .words import cycrep_counts, divisors, euler_phi, primitive_counts
 
 GROWTH_HEADER = ("n", "ball", "sphere", "conj_ball", "conj_sphere", "ratio", "n_sph_ratio")
@@ -80,8 +79,7 @@ def _series(cfg: RunConfig) -> Iterator[int]:
 
 def _free_abelian_series(cfg: RunConfig):
     """((1 + x) / (1 - x))^dim, its binomials taken lazily."""
-    return ((comb(cfg.dim, k) for k in range(cfg.dim + 1)),
-            ((-1) ** k * comb(cfg.dim, k) for k in range(cfg.dim + 1)))
+    return iter_power((1, 1), cfg.dim), iter_power((1, -1), cfg.dim)
 
 
 def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
@@ -97,9 +95,9 @@ def _charge_budget(spheres: Iterable[int], max_n: int) -> list[int]:
     return charged
 
 
-def _charge_whole_ball(cfg: RunConfig, max_n: int) -> list[int]:
+def _charge_whole_ball(spheres: Iterable[int], max_n: int) -> list[int]:
     """|S(0..max_n)|, or the BFS's own budget error naming the last radius that fits."""
-    spheres = _charge_budget(_series(cfg), max_n)
+    spheres = _charge_budget(spheres, max_n)
     if len(spheres) <= max_n:
         raise BudgetExceededError(len(spheres) - 1, default_budget())
     return spheres
@@ -157,16 +155,27 @@ def run_growth(cfg: RunConfig) -> str:
     return _json_table({"truncated": truncated_at, "columns": columns}, cfg)
 
 
-# compare setups: (generating set y, class key); set x is the family group's own
+# compare's set y: (sphere series, classes by least length 0..n); set x is the family's own
 
 
-def _compare_free(cfg: RunConfig, group: oracle.Group):
-    a, b = "\x00", "\x02"
-    return ([a * 2, a * 3] if cfg.rank == 1 else [*group.generators, a + b]), free_group.conj_key
+def _compare_free_abelian(dim: int):
+    """{±2e_i, ±3e_i}: per coordinate |x|_y = ceil(|x| / 3), but 2 at |x| = 1,
+    so Z's spheres are 1, 4, 8, 6, 6, ..., that is (1 + 3x + 4x^2 - 2x^3) / (1 - x),
+    and Z^dim takes its dim-th power; every element is its own class."""
+    series = lambda: (iter_power((1, 3, 4, -2), dim), iter_power((1, -1), dim))  # noqa: E731
+    return series(), lambda n: list(islice(iter_series(*series()), n + 1))
 
 
-def _compare_free_abelian(cfg: RunConfig, group: oracle.Group):
-    return [tuple(k * a for a in v) for k in (2, 3) for v in group.generators], lambda x: x
+def _compare_free(cfg: RunConfig):
+    """{a^2, a^3} at rank 1, the extended set {a_1, ..., a_k, a_1 a_2} above."""
+    if cfg.rank == 1:
+        return _compare_free_abelian(1)
+    return (free_group.extended_series(cfg.rank),
+            lambda n: free_group.extended_conjugacy_sphere_counts(cfg.rank, n))
+
+
+def _ratios(spheres: list[int], classes: list[int]) -> tuple[Fraction, ...]:
+    return ratio(list(accumulate(classes)), list(accumulate(spheres)))
 
 
 def run_compare(cfg: RunConfig) -> str:
@@ -174,30 +183,29 @@ def run_compare(cfg: RunConfig) -> str:
     if family.compare is None:
         supported = tuple(sorted(name for name, f in FAMILIES.items() if f.compare))
         raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
-    # the standard set's B(max_n), and B(2) at least: the generation check
-    # meets set y's generators there (3e of free-abelian one radius later)
-    _charge_whole_ball(cfg, max(cfg.max_n, 2))
-    group = family.group(cfg)
+    # the standard set's B(max_n), and B(2) at least: the ball that holds
+    # set y's generators ab (free) and st (D-infinity)
+    spheres_x = _charge_whole_ball(_series(cfg), max(cfg.max_n, 2))[:cfg.max_n + 1]
+    family.group(cfg)  # its own checks, such as the free rank cap
     if cfg.max_n + 1 < cfg.window:
         raise ValueError(f"need at least {cfg.window} terms, got {cfg.max_n + 1}")
-    gens_y, key = family.compare(cfg, group)
-    report = oracle.generating_set_comparison(
-        group, group.generators, gens_y, cfg.max_n, window=cfg.window, key=key)
-    n_col = list(range(min(len(report.ratios_x), len(report.ratios_y))))
+    series_y, classes_y = family.compare(cfg)
+    spheres_y = _charge_whole_ball(iter_series(*series_y), cfg.max_n)
+    ratios_x = _ratios(spheres_x, family.classes(cfg, cfg.max_n))
+    ratios_y = _ratios(spheres_y, classes_y(cfg.max_n))
     columns = {
-        "n": n_col,
-        "ratio_x": [decimal_str(report.ratios_x[n]) for n in n_col],
-        "ratio_y": [decimal_str(report.ratios_y[n]) for n in n_col],
-        "abs_diff": [
-            decimal_str(abs(report.ratios_x[n] - report.ratios_y[n])) for n in n_col
-        ],
+        "n": list(range(cfg.max_n + 1)),
+        "ratio_x": [decimal_str(r) for r in ratios_x],
+        "ratio_y": [decimal_str(r) for r in ratios_y],
+        "abs_diff": [decimal_str(abs(x - y)) for x, y in zip(ratios_x, ratios_y)],
     }
     if cfg.fmt == "csv":
         return _csv_table(COMPARE_HEADER, columns)
+    peak_x, peak_y = (window_estimate(r, cfg.window).peak for r in (ratios_x, ratios_y))
     estimates = {
-        "peak_x": decimal_str(report.estimate_x.peak),
-        "peak_y": decimal_str(report.estimate_y.peak),
-        "peak_abs_diff": decimal_str(report.peak_difference),
+        "peak_x": decimal_str(peak_x),
+        "peak_y": decimal_str(peak_y),
+        "peak_abs_diff": decimal_str(abs(peak_x - peak_y)),
     }
     return _json_table({"window": cfg.window, "columns": columns, "estimates": estimates}, cfg)
 
@@ -249,7 +257,7 @@ def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
     n = min(cfg.max_n, cap)
     default = max(n, 1) if default_slack is None else default_slack
     slack = default if cfg.slack is None else cfg.slack
-    spheres = _charge_whole_ball(cfg, n + slack)[:n + 1]
+    spheres = _charge_whole_ball(_series(cfg), n + slack)[:n + 1]
     family = FAMILIES[cfg.family]
     table = oracle.conjugacy_classes(family.group(cfg), n, slack=slack)
     rows = []
@@ -318,8 +326,9 @@ class Family:
     classes: Callable[[RunConfig, int], list[int]]
     group: Callable[[RunConfig], oracle.Group]
     parameters: Callable[[RunConfig], dict] = lambda cfg: {}
-    # (cfg, group) -> (generating set y, class key); None: compare unsupported
-    compare: Optional[Callable[[RunConfig, oracle.Group], tuple]] = None
+    # cfg -> (set y's sphere series, n -> its classes by least length 0..n),
+    # like series and classes; None: compare unsupported
+    compare: Optional[Callable[[RunConfig], tuple]] = None
 
 
 FAMILIES = {
@@ -332,7 +341,7 @@ FAMILIES = {
                            lambda cfg, n: list(islice(_series(cfg), n + 1)),
                            lambda cfg: oracle.FreeAbelian(cfg.dim),
                            parameters=lambda cfg: {"dim": cfg.dim},
-                           compare=_compare_free_abelian),
+                           compare=lambda cfg: _compare_free_abelian(cfg.dim)),
     "raag": Family(_validate_raag, lambda cfg: raag.sphere_series(cfg.graph()),
                    lambda cfg, n: raag.class_spheres(cfg.graph(), n),
                    lambda cfg: oracle.RaagGroup(cfg.graph()),
@@ -343,8 +352,8 @@ FAMILIES = {
     "dihedral-inf": Family(_validate_dihedral, lambda cfg: oracle.DIHEDRAL_SERIES,
                            lambda cfg, n: oracle.dihedral_class_spheres(n),
                            lambda cfg: oracle.DihedralInfinite(),
-                           compare=lambda cfg, group: ([(0,), (0, 1)],
-                                                       oracle.dihedral_conjugacy_key)),
+                           compare=lambda cfg: (oracle.DIHEDRAL_Y_SERIES,
+                                                oracle.dihedral_y_class_spheres)),
     "heisenberg": Family(_validate_heisenberg, lambda cfg: oracle.HEISENBERG_SERIES,
                          lambda cfg, n: oracle.heisenberg_class_spheres(n),
                          lambda cfg: oracle.Heisenberg()),
@@ -420,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, ok = (verb(cfg), True) if verb else run_validate(cfg)
         _emit(text, args.out)
         return 0 if ok else 1
-    except (ValueError, OSError, BudgetExceededError, oracle.GenerationError) as exc:
+    except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

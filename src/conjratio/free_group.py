@@ -8,8 +8,10 @@ are keyed by the least rotation of the cyclic reduction, a complete invariant.
 
 Every count is a closed form: spheres 2k(2k-1)^(n-1), cyclically reduced
 words (2k-1)^n + 1 + (k-1)(1 + (-1)^n) (Rivin, *Growth in free groups*),
-and classes as necklaces of those words. No counter enumerates words; the
-enumeration cross-checks live in tests/test_free_group.py and in
+and classes as necklaces of those words. So are the counts under the
+extended set {a_1, ..., a_k, a_1 a_2} that ``conjratio compare`` uses: a
+rational sphere series and bivariate necklaces. No counter enumerates
+words; the enumeration cross-checks live in tests/test_free_group.py and in
 ``conjratio validate --family free`` (BFS and the oracle's closure).
 """
 
@@ -19,7 +21,7 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .sequences import iter_series
-from .words import cycrep_counts, least_rotation
+from .words import cycrep_counts, divisors, euler_phi, least_rotation
 
 Word = str
 
@@ -130,3 +132,78 @@ def conjugacy_sphere_counts(rank: int, max_n: int) -> list[int]:
 
 def conjugacy_ball_counts(rank: int, max_n: int) -> list[int]:
     return list(accumulate(conjugacy_sphere_counts(rank, max_n)))
+
+
+# The extended generating set {a_1, ..., a_k, ab} of rank k >= 2, with a = a_1
+# (code 0) and b = a_2 (code 2), as ``conjratio compare`` uses it. A reduced
+# word's length under it is its length minus its occurrences of ab and BA,
+# which never overlap; a class's least length is that of a cyclically reduced
+# w minus the cyclic occurrences of ab and BA in w. tests/test_oracle.py pins
+# both counts below against a BFS of the extended set and ``conj_key``.
+
+
+def extended_series(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sphere sizes' series under the extended set at rank k >= 2,
+    (1 + x)(1 + 2x) / (1 - (2k - 1)x - (4k - 4)x^2).
+
+    It solves the transfer over the last letter in which the steps a -> b
+    and B -> A cost no length; two such free steps never follow each other. Swapping a <-> B, A <-> b keeps the transfer, so the words ending
+    in a or in B share a series p, those ending in A or in b a series q, and
+    with T the whole series: p = x(T - q), q = x(T - 2p) + p, while the
+    2k - 4 other last letters give x(2k - 4)T / (1 + x)."""
+    return (1, 3, 2), (1, 1 - 2 * rank, 4 - 4 * rank)
+
+
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(*polys: Sequence[int]) -> list[int]:
+    out = [0] * max(map(len, polys))
+    for poly in polys:
+        for i, x in enumerate(poly):
+            out[i] += x
+    return out
+
+
+def extended_conjugacy_sphere_counts(rank: int, max_n: int) -> list[int]:
+    """Classes by least length 0..max_n under the extended set at rank k >= 2.
+
+    A class of least length n is a necklace of a cyclically reduced word of
+    length L with j = L - n cyclic occurrences of ab and BA, so L <= 2n.
+    Bivariate necklaces count them: (1/L) sum over d | L of phi(L/d) T(d,
+    jd/L), where T(d, i) is the y^i coefficient of tr M(y)^d and M(y) is the
+    2k x 2k letter transfer with 0 on the steps x -> x^-1 and y on a -> b
+    and B -> A. The trace needs no matrix. M(1) = J - P (J all ones, P the
+    inversion) has eigenvalues 2k - 1, then -1 (k - 1 times) and 1 (k times);
+    the two y entries are a rank-2 change, and the matrix determinant lemma
+    gives det(I - x M(y)) = (1 + x)^(k-3) (1 - x)^(k-2) (1 - y x^2) Q with
+    Q = 1 - (2k - 1)x - y x^2 + (4k - 4 - (2k - 3)y)x^3. So tr M(y)^d is
+    (k - 3)(-1)^d + k - 2 + 2y^(d/2) [d even] + p_d, p_d the power sums of
+    Q's inverse roots by Newton's identities; at y = 1 it is Rivin's count.
+    The cost does not depend on the rank."""
+    q = {1: [1 - 2 * rank], 2: [0, -1], 3: [4 * rank - 4, 3 - 2 * rank]}  # Q's, in y
+    power_sums: dict[int, list[int]] = {}
+    traces: dict[int, list[int]] = {}
+    classes = [1] + [0] * max_n
+    for length in range(1, 2 * max_n + 1):
+        p = _poly_add([-length * c for c in q.get(length, [0])],
+                      *(_poly_mul([-c for c in q[i]], power_sums[length - i])
+                        for i in range(1, min(length, 4))))
+        power_sums[length] = p
+        traces[length] = _poly_add(p, [(rank - 3) * (-1) ** length + rank - 2],
+                                   [0] * (length // 2) + [2] if length % 2 == 0 else [0])
+        totals = [0] * (length // 2 + 1)  # by cyclic occurrences j
+        for d in divisors(length):
+            e = length // d
+            for i, t in enumerate(traces[d]):
+                if t:
+                    totals[i * e] += euler_phi(e) * t
+        for j, total in enumerate(totals):
+            if length - j <= max_n:
+                classes[length - j] += total // length
+    return classes

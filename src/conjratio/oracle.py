@@ -16,7 +16,8 @@ exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
 B(N)) and elsewhere it is reported together with a stability flag
 comparing against slack - 1. Generating-set comparison needs no closure:
 it counts each side's classes by an exact conjugacy key over that side's
-ball.
+ball. It is the tests' route: ``conjratio compare`` counts both sets by
+formula, and the tests pin each formula against this BFS and key count.
 
 Also hosts the two coordinate groups used as worked examples: the
 infinite dihedral group (normal forms: alternating words in two
@@ -134,6 +135,21 @@ def dihedral_class_spheres(max_n: int) -> list[int]:
     """Classes by least length 0..max_n (``dihedral_conjugacy_key``): the identity,
     two reflection classes at length 1, one rotation class at each even length."""
     return [1, 2, *(1 - n % 2 for n in range(2, max_n + 1))][:max_n + 1]
+
+
+# Under the set {s, st} of ``conjratio compare`` (s = a, t = b), with r = st:
+# every element is r^m or r^m s, and s r^m s = r^-m, so a word with e letters
+# s spells r^(±m1 ± m2 ...) s^e. Hence |r^m| = |m| and |r^m s| = |m| + 1:
+# spheres 1, 3, 4, 4, ..., that is (1 + x)^2 / (1 - x).
+DIHEDRAL_Y_SERIES = ((1, 2, 1), (1, -1))
+
+
+def dihedral_y_class_spheres(max_n: int) -> list[int]:
+    """Classes by least length 0..max_n under {s, st}: {r^m, r^-m} at length
+    |m|, and the reflections r^m s in two classes by the parity of m
+    (conjugation by r adds 2), first met at s (length 1) and rs (length 2):
+    1, 2, 2, 1, 1, ...."""
+    return [1, 2, 2, *[1] * (max_n - 2)][:max_n + 1]
 
 
 def Heisenberg() -> Group:

@@ -10,7 +10,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -38,6 +38,23 @@ def iter_series(numer: Iterable[int], denom: Iterable[int]) -> Iterator[int]:
         s = next(numer) - sum(map(mul, tail, past))
         past.appendleft(s)
         yield s
+
+
+def iter_power(poly: Sequence[int], exponent: int) -> Iterator[int]:
+    """The coefficients of poly(x)^exponent from x^0 up, one at a time, by
+    J. C. P. Miller's recurrence n a(n) = sum over 1 <= i <= deg of
+    ((exponent + 1) i - n) poly(i) a(n - i), whose division is exact.
+    poly(0) must be 1; a huge exponent costs only the terms read."""
+    if poly[0] != 1:
+        raise ValueError("the polynomial's constant term must be 1")
+    degree = len(poly) - 1
+    past = deque([1], maxlen=degree)  # a(n - 1), a(n - 2), ...
+    yield 1
+    for n in range(1, degree * exponent + 1):
+        term = sum(((exponent + 1) * i - n) * poly[i] * a
+                   for i, a in enumerate(islice(past, min(n, degree)), 1)) // n
+        past.appendleft(term)
+        yield term
 
 
 def ratio(numer: Sequence[int], denom: Sequence[int]) -> tuple[Fraction, ...]:

@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -103,19 +104,20 @@ def compare_and_validate_argv(draw):
 
 
 def unbounded_by_the_budget(argv, budget):
-    """The draws whose cost the element budget does not bound, listed as open
-    faults in CHANGES.md. The budget counts elements, but an element of
-    D-infinity or F1 is as long as its radius, validate's closure conjugates
-    each element of Z^dim by dim generators of dim coordinates, and validate
-    padded only to radius 1 or less builds F_rank and conjugates its 2 rank + 1
-    elements by rank generators."""
-    opts = dict(zip(argv[1::2], argv[2::2]))
-    family, rank, dim = opts["--family"], int(opts["--rank"]), int(opts["--dim"])
-    radius = int(opts["--max-n"]) + int(opts.get("--slack", 0))  # at least the BFS's
-    if family == "dihedral-inf" or (family == "free" and rank == 1):
-        return min(radius, budget // 2) > 300
+    """The validate draws whose cost the element budget does not bound, listed
+    as open faults in CHANGES.md; compare counts by formula and is never left
+    out. The budget counts elements, but an element of D-infinity or F1 is as
+    long as its radius, validate's closure conjugates each element of Z^dim by
+    dim generators of dim coordinates, and validate padded only to radius 1 or
+    less builds F_rank and conjugates its 2 rank + 1 elements by rank
+    generators."""
     if argv[0] != "validate":
         return False
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    family, rank, dim = opts["--family"], int(opts["--rank"]), int(opts["--dim"])
+    radius = int(opts["--max-n"]) + int(opts["--slack"])  # at least the BFS's
+    if family == "dihedral-inf" or (family == "free" and rank == 1):
+        return min(radius, budget // 2) > 300
     return (family == "free-abelian" and dim > 10) or (radius <= 1 and rank > 300)
 
 
@@ -619,11 +621,80 @@ class TestCompare:
         assert run_cli(["compare", "--family", "free", "--rank", "24", "--max-n", "4"]) == (
             2, "", "error: element budget 5000000 exceeded; completed radius 3\n")
         assert time.perf_counter() - start < 0.5
-        # the charge reaches radius 2 even for a shorter table: the generation
-        # check meets a + b there
+        # the charge reaches radius 2 even for a shorter table: B(2) holds a + b
         monkeypatch.setenv("CONJRATIO_BUDGET", "16")  # |B(2)| = 17 for rank 2
         assert run_cli(["compare", "--family", "free", "--max-n", "1", "--window", "2"]) == (
             2, "", "error: element budget 16 exceeded; completed radius 1\n")
+
+    # sha256 of stdout; the csv digests are the benchmark's
+    BENCHMARK_DIGESTS = {
+        ("free", "csv"): "bcf9b8b906ed509b888c24ad9ceaf6df5400529045353dd7457d7286eda2641f",
+        ("free", "json"): "a87d44fd28314f1ad4ee791f7e57ef1f80a5c38a14e1afafbf916ffce5441b47",
+        ("dihedral-inf", "csv"):
+            "5ce370ea76c6a559cdf5741569410beea23e27185de52003ca2fe7d3af27d3b2",
+        ("dihedral-inf", "json"):
+            "4efe3da0228b1147185cbb86805f77d02f7a2afda7ba14ae315a0574a40cc35c",
+        ("free-abelian", "csv"):
+            "ed19c01b9e661f59a371ab82e44f034158b3ef8666ef3825e45293fa7bccf009",
+        ("free-abelian", "json"):
+            "b98007325e7ea5a9b77ddd23ae6720c0d11fb1e9d1879b6afe739c86acd46f3e",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_benchmark_configs_count_by_formula(self, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare ran the oracle")
+
+        for name in ("ball_enumerate", "_check_generates", "key_class_counts",
+                     "generating_set_comparison"):
+            monkeypatch.setattr(oracle, name, refuse)
+        for argv in (["--family", "free", "--rank", "2", "--max-n", "9"],
+                     ["--family", "dihedral-inf", "--max-n", "40"],
+                     ["--family", "free-abelian", "--dim", "1", "--max-n", "12"]):
+            code, out, err = run_cli(["compare", *argv, "--format", fmt])
+            assert (code, err) == (0, "")
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == self.BENCHMARK_DIGESTS[argv[1], fmt]
+
+    def test_second_set_is_charged_before_it_is_counted(self, monkeypatch):
+        # |B(4)| = 118,721 under the unit vectors of Z^20; under {2e_i, 3e_i}
+        # |B(3)| = 88,521 and |B(4)| is over 500,000
+        monkeypatch.setenv("CONJRATIO_BUDGET", "500000")
+        start = time.perf_counter()
+        assert run_cli(["compare", "--family", "free-abelian", "--dim", "20",
+                        "--max-n", "4"]) == (
+            2, "", "error: element budget 500000 exceeded; completed radius 3\n")
+        assert time.perf_counter() - start < 0.5
+
+    def test_linear_families_stay_small_at_large_radii(self):
+        argv = ["compare", "--family", "free", "--rank", "1", "--max-n", "2400"]
+        start = time.perf_counter()
+        code, out, _ = run_cli(argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and len(out.splitlines()) == 2402
+        tracemalloc.start()
+        try:
+            assert run_cli(argv)[1] == out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2 ** 20
+
+    @pytest.mark.parametrize("argv,budget,seconds", [
+        (["--family", "free", "--rank", "2", "--max-n", "10"], None, 0.5),
+        (["--family", "free", "--rank", "2", "--max-n", "100"], str(10 ** 200), 2),
+        (["--family", "free", "--rank", "1000", "--max-n", "2", "--window", "2"], None, 1),
+    ], ids=["F2-n10", "F2-n100", "F1000"])
+    def test_far_radii_and_high_ranks_end_at_once(self, monkeypatch, argv, budget, seconds):
+        if budget is None:
+            monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("CONJRATIO_BUDGET", budget)
+        start = time.perf_counter()
+        code, out, err = run_cli(["compare", *argv])
+        assert time.perf_counter() - start < seconds
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == int(argv[argv.index("--max-n") + 1]) + 2
 
     def test_unsupported_family_exits_2(self):
         code, _, err = run_cli(["compare", "--family", "lamplighter", "--max-n", "6"])

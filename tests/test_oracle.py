@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conjratio import free_group as fg
 from conjratio import lamplighter as ll
-from conjratio import oracle, raag
+from conjratio import cli, oracle, raag
+from conjratio.cli import RunConfig
 from conjratio.errors import BudgetExceededError
 from conjratio.oracle import (
     ConjugacyTable,
@@ -391,6 +392,39 @@ class TestClosedForms:
     def test_class_formulas_at_small_radii(self):
         assert oracle.dihedral_class_spheres(0) == oracle.heisenberg_class_spheres(0) == [1]
         assert oracle.dihedral_class_spheres(1) == [1, 2]
+        assert [oracle.dihedral_y_class_spheres(n) for n in range(4)] == [
+            [1], [1, 2], [1, 2, 2], [1, 2, 2, 1]]
+
+
+def scaled_units(dim):
+    """{2e_i, 3e_i}: compare's set y on Z^dim, and on F1 as {a^2, a^3}."""
+    return [tuple(k * int(i == j) for j in range(dim)) for k in (2, 3) for i in range(dim)]
+
+
+class TestSecondGeneratingSets:
+    """Each family's declared set-y series and classes, which ``compare``
+    prints, against a BFS of that set and the exact class key."""
+
+    @pytest.mark.parametrize("cfg,group,gens_y,key,max_n", [
+        pytest.param(RunConfig("free", rank=1), FreeGroup(1), ["\x00" * 2, "\x00" * 3],
+                     fg.conj_key, 30, id="F1"),
+        # ranks 3 and 4 have letters outside {a, A, b, B}, one pair and two
+        *(pytest.param(RunConfig("free", rank=rank), FreeGroup(rank),
+                       [*FreeGroup(rank).generators, free_word((0, 2))], fg.conj_key, max_n,
+                       id=f"F{rank}")
+          for rank, max_n in ((2, 8), (3, 5), (4, 4))),
+        *(pytest.param(RunConfig("free-abelian", dim=dim), FreeAbelian(dim), scaled_units(dim),
+                       lambda x: x, max_n, id=f"Z{dim}")
+          for dim, max_n in ((1, 30), (2, 8), (3, 5))),
+        pytest.param(RunConfig("dihedral-inf"), DihedralInfinite(), [(0,), (0, 1)],
+                     dihedral_conjugacy_key, 120, id="D_inf"),
+    ])
+    def test_declared_counts_match_the_bfs(self, cfg, group, gens_y, key, max_n):
+        dist, spheres = ball_enumerate(with_generators(group, gens_y), max_n)
+        classes, _ = key_class_counts(dist, key, max_n)
+        series, class_spheres = cli.FAMILIES[cfg.family].compare(cfg)
+        assert list(islice(iter_series(*series), max_n + 1)) == spheres
+        assert class_spheres(max_n) == classes
 
 
 class TestKeyClassCounts:

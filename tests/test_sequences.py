@@ -17,6 +17,7 @@ from conjratio.sequences import (
     check_ratio_vanishes,
     convolve,
     decimal_str,
+    iter_power,
     iter_series,
     ratio,
     stolz_cesaro,
@@ -84,6 +85,27 @@ class TestIterSeries:
         assert read == [0]
         assert [next(series) for _ in range(5)] == [4, 12, 36, 108, 324]
         assert read == [0, 1, 2, 3, 4, 5]
+
+
+class TestIterPower:
+    @pytest.mark.parametrize("poly,exponent", [
+        ((1, 1), 7), ((1, -1), 4), ((1, 3, 4, -2), 5), ((1, 0, -2), 3), ((1, 5), 0)])
+    def test_matches_repeated_multiplication(self, poly, exponent):
+        product = [1]
+        for _ in range(exponent):
+            product = convolve(product + [0] * (len(poly) - 1),
+                               list(poly) + [0] * (len(product) - 1))
+        assert list(iter_power(poly, exponent)) == product
+
+    def test_huge_exponent_costs_only_the_terms_read(self):
+        start = time.perf_counter()
+        assert list(islice(iter_power((1, 1), 10 ** 6), 4)) == [
+            comb(10 ** 6, k) for k in range(4)]
+        assert time.perf_counter() - start < 0.1
+
+    def test_constant_term_must_be_one(self):
+        with pytest.raises(ValueError):
+            next(iter_power((2, 1), 3))
 
 
 class TestRatio:
