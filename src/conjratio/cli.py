@@ -167,7 +167,7 @@ def _compare_free_abelian(dim: int):
 
 
 def _compare_free(cfg: RunConfig):
-    """{a^2, a^3} at rank 1, the extended set {a_1, ..., a_k, a_1 a_2} above."""
+    """{a^2, a^3} at rank 1, else the extended set {a_1, ..., a_k, a_1 a_2} (see free_group)."""
     if cfg.rank == 1:
         return _compare_free_abelian(1)
     return (free_group.extended_series(cfg.rank),

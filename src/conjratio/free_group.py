@@ -147,10 +147,11 @@ def extended_series(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     (1 + x)(1 + 2x) / (1 - (2k - 1)x - (4k - 4)x^2).
 
     It solves the transfer over the last letter in which the steps a -> b
-    and B -> A cost no length; two such free steps never follow each other. Swapping a <-> B, A <-> b keeps the transfer, so the words ending
-    in a or in B share a series p, those ending in A or in b a series q, and
-    with T the whole series: p = x(T - q), q = x(T - 2p) + p, while the
-    2k - 4 other last letters give x(2k - 4)T / (1 + x)."""
+    and B -> A cost no length; two such free steps never follow each other.
+    Swapping a <-> B, A <-> b keeps the transfer, so the words ending in a
+    or in B share a series p, those ending in A or in b a series q, and with
+    T the whole series: p = x(T - q), q = x(T - 2p) + p, while the 2k - 4
+    other last letters give x(2k - 4)T / (1 + x)."""
     return (1, 3, 2), (1, 1 - 2 * rank, 4 - 4 * rank)
 
 

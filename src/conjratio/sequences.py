@@ -10,7 +10,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -48,11 +48,10 @@ def iter_power(poly: Sequence[int], exponent: int) -> Iterator[int]:
     if poly[0] != 1:
         raise ValueError("the polynomial's constant term must be 1")
     degree = len(poly) - 1
-    past = deque([1], maxlen=degree)  # a(n - 1), a(n - 2), ...
+    past = deque([1], maxlen=degree)  # a(n - 1), a(n - 2), ..., at most degree of them
     yield 1
     for n in range(1, degree * exponent + 1):
-        term = sum(((exponent + 1) * i - n) * poly[i] * a
-                   for i, a in enumerate(islice(past, min(n, degree)), 1)) // n
+        term = sum(((exponent + 1) * i - n) * poly[i] * a for i, a in enumerate(past, 1)) // n
         past.appendleft(term)
         yield term
 

@@ -666,8 +666,11 @@ class TestCompare:
             2, "", "error: element budget 500000 exceeded; completed radius 3\n")
         assert time.perf_counter() - start < 0.5
 
-    def test_linear_families_stay_small_at_large_radii(self):
-        argv = ["compare", "--family", "free", "--rank", "1", "--max-n", "2400"]
+    @pytest.mark.parametrize("family", [["free", "--rank", "1"], ["dihedral-inf"]],
+                             ids=["F1", "D_inf"])
+    def test_linear_families_stay_small_at_large_radii(self, family):
+        # a BFS to radius n of these groups holds about n^2 letters
+        argv = ["compare", "--family", *family, "--max-n", "2400"]
         start = time.perf_counter()
         code, out, _ = run_cli(argv)
         assert time.perf_counter() - start < 0.5
