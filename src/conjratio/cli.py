@@ -37,7 +37,6 @@ class RunConfig:
     slack: Optional[int] = None
     fmt: str = "csv"
     window: int = 5
-    out: Optional[str] = None
     _graph: Optional[raag.GraphSpec] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -423,8 +422,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "necklace":
             text, ok = run_necklace(args.counts_file, args.fmt), True
         else:
-            # each verb's options are RunConfig fields; the ones it lacks keep their defaults
-            cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
+            # each verb's options but the command and --out are RunConfig
+            # fields; the ones it lacks keep their defaults
+            cfg = RunConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "out")})
             verb = {"growth": run_growth, "compare": run_compare}.get(args.command)
             text, ok = (verb(cfg), True) if verb else run_validate(cfg)
         _emit(text, args.out)

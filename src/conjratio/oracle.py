@@ -4,20 +4,23 @@ Any object with ``identity``, ``generators`` (closed under inversion),
 ``multiply`` and ``invert`` over hashable canonical elements, such as a
 ``Group`` record, can be ball-enumerated by BFS and conjugacy-classified by
 conjugation closure.
-The closure is union-find over a padded ball B(N + slack), uniting u with
-s^-1 u s whenever both sides were enumerated. One generator s from each
-inverse pair suffices: if y = s^-1 u s then u = s y s^-1, so conjugating
-by s^-1 finds no edge that s does not. It is one union pass: edges inside
-B(N + slack - 1) are united first, the slack - 1 census is taken, then the
-edges touching the outer sphere are united for the final census. Both
-censuses scan B(N) only, in BFS order, so a class's first element there is
-its shortest. The closure is exact where a conjugator-length argument
-exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
-B(N)) and elsewhere it is reported together with a stability flag
-comparing against slack - 1. Generating-set comparison needs no closure:
-it counts each side's classes by an exact conjugacy key over that side's
-ball. It is the tests' route: ``conjratio compare`` counts both sets by
-formula, and the tests pin each formula against this BFS and key count.
+The closure is union-find over the BFS positions of a padded ball
+B(N + slack), uniting u with s^-1 u s whenever both sides were enumerated.
+One generator s from each inverse pair suffices: if y = s^-1 u s then
+u = s y s^-1, so conjugating by s^-1 finds no edge that s does not. A union
+hangs the later root under the earlier, so a class's root is its first
+element in BFS order, which is a shortest one. It is one union pass: edges
+inside B(N + slack - 1) are united first, the slack - 1 census is taken,
+then the edges touching the outer sphere are united for the final census.
+A census reads the roots among the first |B(N)| positions: they are the
+classes meeting B(N), at their least lengths. The closure is exact where a
+conjugator-length argument exists (free groups, RAAGs: peeling to the
+cyclic reduction never leaves B(N)) and elsewhere it is reported together
+with a stability flag comparing against slack - 1. Generating-set
+comparison needs no closure: it counts each side's classes by an exact
+conjugacy key over that side's ball. It is the tests' route: ``conjratio
+compare`` counts both sets by formula, and the tests pin each formula
+against this BFS and key count.
 
 Also hosts the two coordinate groups used as worked examples: the
 infinite dihedral group (normal forms: alternating words in two
@@ -31,14 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Any, Callable, Iterable, Optional
 
 from . import free_group
 from . import lamplighter as lamp
 from .errors import BudgetExceededError, default_budget
 from .raag import GraphSpec, for_graph
-from .sequences import WindowEstimate, min_length_census, ratio, window_estimate
+from .sequences import WindowEstimate, ratio, window_estimate
 from .words import divisors, euler_phi
 
 
@@ -235,34 +238,6 @@ def ball_enumerate(group, max_n: int):
     return dist, spheres
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-        self.size: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-
 @dataclass
 class ConjugacyTable:
     """Conjugation-closure census of the classes meeting B(radius). ``dist``
@@ -280,9 +255,9 @@ class ConjugacyTable:
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
-    """Union-find over B(max_n + slack); classes counted by the smallest
-    radius they meet. ``stable`` reports whether shrinking the padding by
-    one changes any count (None when slack = 0)."""
+    """Union-find over the BFS positions of B(max_n + slack); classes counted
+    by the smallest radius they meet. ``stable`` reports whether shrinking
+    the padding by one changes any count (None when slack = 0)."""
     if slack is None:
         slack = max_n
     if slack < 0:
@@ -296,67 +271,70 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         s_inv = group.invert(s)
         if s_inv not in halves:
             halves[s] = s_inv
-    uf = UnionFind()
-    for x in dist:
-        uf.add(x)
+    # union-find over BFS positions; a union hangs the later root under the
+    # earlier, so each class's root is its first, and a shortest, element
+    parent = list(range(len(dist)))
+    index = dict(zip(dist, parent))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def union(i: int, j: int) -> None:
+        i, j = find(i), find(j)
+        parent[max(i, j)] = min(i, j)
+
     # edges inside B(outer - 1) are united now; the ones touching the outer
     # sphere wait until the slack - 1 census has been taken
+    inner = len(dist) - spheres[outer]
     late = []
-    for x, dx in dist.items():
+    for x, i in index.items():
         for s, s_inv in halves.items():
-            y = group.multiply(group.multiply(s_inv, x), s)
-            if y == x:
+            j = index.get(group.multiply(group.multiply(s_inv, x), s))
+            if j is None or j == i:
                 continue
-            dy = dist.get(y)
-            if dy is None:
-                continue
-            if dx < outer and dy < outer:
-                uf.union(x, y)
+            if i < inner and j < inner:
+                union(i, j)
             else:
-                late.append((x, y))
+                late.append((i, j))
+    size = sum(spheres[:max_n + 1])
 
-    def census() -> tuple[list[int], dict]:
-        """Minimum lengths of the classes meeting B(max_n), ascending, and
-        the class numbering of B(max_n): dist is in BFS order, so a class is
-        first met at its shortest element."""
-        roots: dict = {}
-        class_of: dict = {}
-        mins = []
-        for x, d in dist.items():
-            if d > max_n:
-                break
-            r = uf.find(x)
-            if r not in roots:
-                roots[r] = len(roots)
-                mins.append(d)
-            class_of[x] = roots[r]
-        return mins, class_of
+    def census() -> list[int]:
+        """Least lengths of the classes meeting B(max_n), ascending: they
+        are the roots among its first |B(max_n)| positions."""
+        return [d for i, d in enumerate(islice(dist.values(), size)) if parent[i] == i]
 
-    smaller = census()[0] if slack >= 1 else None
-    for x, y in late:
-        uf.union(x, y)
-    mins, class_of = census()
+    smaller = census() if slack >= 1 else None
+    for i, j in late:
+        union(i, j)
+    mins = census()
     stable = None if smaller is None else smaller == mins
+    # roots come in BFS order, so classes are numbered as B(max_n) first meets them
+    number: dict = {}
+    class_of = {x: number.setdefault(find(i), len(number))
+                for x, i in islice(index.items(), size)}
     sphere_classes = [0] * (max_n + 1)
     for m in mins:
         sphere_classes[m] += 1
-    ball_classes = list(accumulate(sphere_classes))
     return ConjugacyTable(
-        radius=max_n,
-        slack=slack,
-        ball_classes=tuple(ball_classes),
-        sphere_classes=tuple(sphere_classes),
-        spheres=tuple(spheres[:max_n + 1]),
-        stable=stable,
-        class_of=class_of,
-        dist=dist,
-    )
+        radius=max_n, slack=slack, ball_classes=tuple(accumulate(sphere_classes)),
+        sphere_classes=tuple(sphere_classes), spheres=tuple(spheres[:max_n + 1]),
+        stable=stable, class_of=class_of, dist=dist)
 
 
 def key_class_counts(dist: dict, key: Callable, max_n: int):
     """(per-radius, cumulative) class counts of B(max_n) from an exact
-    conjugacy key."""
-    return min_length_census(dist.items(), key, max_n)
+    conjugacy key: each class counts at its least length."""
+    min_len: dict = {}
+    for x, d in dist.items():
+        kx = key(x)
+        min_len[kx] = min(d, min_len.get(kx, d))
+    spheres = [0] * (max_n + 1)
+    for m in min_len.values():
+        if m <= max_n:
+            spheres[m] += 1
+    return spheres, list(accumulate(spheres))
 
 
 def _check_generates(target, other, cap: int = 12) -> None:

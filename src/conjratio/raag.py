@@ -40,7 +40,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, default_budget
-from .sequences import convolve, iter_series
+from .sequences import convolve, iter_series, poly_mul
 from .words import cycrep_counts, least_rotation, rotate
 
 
@@ -453,14 +453,6 @@ def _compose(tree: Cotree, vertex, join: Callable, union: Callable):
     return values[0]
 
 
-def _multiply(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
 def _add_less_one(p: list[int], q: list[int]) -> list[int]:
     """p + q - 1: the clique polynomial of a disjoint union, which has one
     empty clique."""
@@ -536,7 +528,7 @@ def sphere_series(graph: GraphSpec) -> tuple[Iterable[int], Iterable[int]]:
     group = for_graph(graph)
     if group.cotree is None:
         return (1,), _chiswell_denominator(group)
-    return _sphere_series(_compose(group.cotree, [1, 1], _multiply, _add_less_one))
+    return _sphere_series(_compose(group.cotree, [1, 1], poly_mul, _add_less_one))
 
 
 def class_spheres(graph: GraphSpec, n: int) -> list[int]:
@@ -549,6 +541,6 @@ def class_spheres(graph: GraphSpec, n: int) -> list[int]:
         return counts(graph, n).conj_sphere
     return _compose(
         tree, ([1, 1], [1] + [2] * n),
-        lambda x, y: (_multiply(x[0], y[0]), convolve(x[1], y[1])),
+        lambda x, y: (poly_mul(x[0], y[0]), convolve(x[1], y[1])),
         lambda x, y: (_add_less_one(x[0], y[0]), _free_product_classes(x, y, n)),
     )[1]

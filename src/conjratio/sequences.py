@@ -10,9 +10,9 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import mul
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 MODE_INCREMENT = "increment"
 MODE_GEOMETRIC = "geometric"
@@ -92,21 +92,13 @@ def convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
     return [sum(left[i] * right[k - i] for i in range(k + 1)) for k in range(n)]
 
 
-def min_length_census(pairs: Iterable[tuple[Hashable, int]], key: Callable,
-                      max_n: int) -> tuple[list[int], list[int]]:
-    """(per-radius, cumulative) class counts from (element, length) pairs and
-    an exact conjugacy key: each class counts at its least length."""
-    min_len: dict = {}
-    for x, d in pairs:
-        kx = key(x)
-        old = min_len.get(kx)
-        if old is None or d < old:
-            min_len[kx] = d
-    spheres = [0] * (max_n + 1)
-    for m in min_len.values():
-        if m <= max_n:
-            spheres[m] += 1
-    return spheres, list(accumulate(spheres))
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The full product of two coefficient lists, from x^0 up."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(family="free")
         assert (cfg.rank, cfg.dim, cfg.max_n, cfg.fmt, cfg.window) == (2, 2, 8, "csv", 5)
-        assert cfg.slack is None and cfg.out is None
+        assert cfg.slack is None
 
     @pytest.mark.parametrize("kwargs,fragment", [
         ({"family": "nope"}, "family must be one of"),

@@ -21,7 +21,6 @@ from conjratio.oracle import (
     Heisenberg,
     Lamplighter,
     RaagGroup,
-    UnionFind,
     ball_enumerate,
     conjugacy_classes,
     dihedral_conjugacy_key,
@@ -53,35 +52,40 @@ def balls_from(spheres):
 
 def reference_closure(group, max_n, slack):
     """The conjugation closure done the long way: every generator, and a
-    full census of B(max_n + slack) and another of B(max_n + slack - 1)."""
+    full census of B(max_n + slack) and another of B(max_n + slack - 1),
+    each by its own search of the conjugation graph's components."""
     dist, _ = ball_enumerate(group, max_n + slack)
-    pairs = []
+    neighbours = {x: set() for x in dist}
     for x in dist:
         for s in group.generators:
             y = group.multiply(group.multiply(group.invert(s), x), s)
             if y in dist and y != x:
-                pairs.append((x, y))
+                neighbours[x].add(y)
+                neighbours[y].add(x)
 
     def census(cap):
-        uf = UnionFind()
-        members = [x for x in dist if dist[x] <= cap]
-        for x in members:
-            uf.add(x)
-        for x, y in pairs:
-            if dist[x] <= cap and dist[y] <= cap:
-                uf.union(x, y)
+        component = {}
+        for start in dist:
+            if dist[start] > cap or start in component:
+                continue
+            component[start] = start
+            stack = [start]
+            while stack:
+                for y in neighbours[stack.pop()]:
+                    if dist[y] <= cap and y not in component:
+                        component[y] = start
+                        stack.append(y)
         min_len = {}
-        for x in members:
-            r = uf.find(x)
-            min_len[r] = min(min_len.get(r, dist[x]), dist[x])
-        return uf, sorted(m for m in min_len.values() if m <= max_n)
+        for x, c in component.items():
+            min_len[c] = min(min_len.get(c, dist[x]), dist[x])
+        return component, sorted(m for m in min_len.values() if m <= max_n)
 
-    uf, mins = census(max_n + slack)
+    component, mins = census(max_n + slack)
     stable = None if slack == 0 else census(max_n + slack - 1)[1] == mins
-    roots, class_of = {}, {}
+    numbers, class_of = {}, {}
     for x in dist:
         if dist[x] <= max_n:
-            class_of[x] = roots.setdefault(uf.find(x), len(roots))
+            class_of[x] = numbers.setdefault(component[x], len(numbers))
     class_spheres = [mins.count(n) for n in range(max_n + 1)]
     return ConjugacyTable(
         radius=max_n,
@@ -216,26 +220,6 @@ class TestBallEnumerate:
             ball_enumerate(Skewed(), 2)
 
 
-class TestUnionFind:
-    def test_union_and_find(self):
-        uf = UnionFind()
-        for x in range(5):
-            uf.add(x)
-        uf.union(0, 1)
-        uf.union(3, 4)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(2) not in (uf.find(0), uf.find(3))
-        uf.union(1, 3)
-        assert uf.find(0) == uf.find(4)
-
-    def test_add_is_idempotent(self):
-        uf = UnionFind()
-        uf.add("x")
-        uf.union("x", "x")
-        assert uf.find("x") == uf.find("x")
-
-
 class TestConjugacyClasses:
     def test_free_group_table(self):
         table = conjugacy_classes(FreeGroup(2), 4, slack=2)
@@ -301,6 +285,26 @@ class TestConjugacyClasses:
         # cut to B(max_n), the padded ball is the BFS of B(max_n), in the same order
         ball = [(x, d) for x, d in table.dist.items() if d <= max_n]
         assert ball == list(ball_enumerate(group, max_n)[0].items())
+
+    @pytest.mark.parametrize("group", [
+        pytest.param(FreeGroup(2), id="free2"),
+        pytest.param(FreeAbelian(3), id="z3"),
+        pytest.param(DihedralInfinite(), id="dihedral"),
+        pytest.param(Heisenberg(), id="heisenberg"),
+        pytest.param(RaagGroup(raag.path_graph(3)), id="raag-p3"),
+        pytest.param(Lamplighter(), id="lamplighter"),
+    ])
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_counts_do_not_depend_on_generator_order(self, group, slack):
+        # the census takes each class at its first BFS element; reordering
+        # the generators reorders the BFS but not the classes' least lengths
+        table = conjugacy_classes(group, 3, slack=slack)
+        flipped = conjugacy_classes(with_generators(group, reversed(group.generators)), 3,
+                                    slack=slack)
+        assert list(table.dist) != list(flipped.dist)
+        assert flipped.sphere_classes == table.sphere_classes
+        assert flipped.stable == table.stable
+        assert flipped.spheres == table.spheres
 
     @pytest.mark.parametrize("max_n,slack,stable,ball_classes", [
         (1, 0, None, (1, 4)),

@@ -19,6 +19,7 @@ from conjratio.sequences import (
     decimal_str,
     iter_power,
     iter_series,
+    poly_mul,
     ratio,
     stolz_cesaro,
     window_estimate,
@@ -198,6 +199,13 @@ class TestConvolve:
             b - a for a, b in zip(product_ball, product_ball[1:])
         ]
         assert diffs == convolve(left_spheres, right_spheres)
+
+
+class TestPolyMul:
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    def test_full_product_is_the_padded_convolution(self, p, q):
+        assert poly_mul(p, q) == convolve(p + [0] * (len(q) - 1), q + [0] * (len(p) - 1))
 
 
 class TestWindowEstimate:

@@ -71,3 +71,21 @@ def test_truncated_growth_runs_once_under_the_tracer(tmp_path, monkeypatch):
     assert traced == untraced
     assert recorder.calls["cli.dispatch"] == 1
     assert "cli.truncation_rerun" not in recorder.calls
+
+
+def test_traced_validate_records_the_union_find_layer():
+    # the benchmark's union_find layer is the closure on validate's check
+    # path: D_inf to radius 4 with the default slack 4 pads B(4) to B(8)
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    hooks = tracer.Instrumentation(recorder)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["validate", "--family", "dihedral-inf", "--max-n", "4"])
+    finally:
+        hooks.remove()
+    assert code == 0
+    assert recorder.calls["oracle.ball_enumerate"] == 1
+    assert recorder.calls["oracle.conjugacy_classes"] == 1
+    assert recorder.counts["oracle.conjugacy_classes.padded_elements"] == 17
+    assert recorder.counts["oracle.conjugacy_classes.ball_elements"] == 9
