@@ -16,16 +16,14 @@ the test routes for both counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .sequences import iter_series
 from .words import divisors, euler_phi, least_rotation
 
 
-@dataclass(frozen=True)
-class LampElement:
+class LampElement(NamedTuple):
     lamps: frozenset[int]
     cursor: int
 
@@ -52,6 +50,15 @@ STEP = element((), 1)
 
 def generators() -> tuple[LampElement, ...]:
     return (TOGGLE, STEP, invert(STEP))
+
+
+def conjugator(s: LampElement) -> Callable[[LampElement], LampElement]:
+    """x -> s^-1 x s for a generator s: the toggle flips the lamps at 0 and
+    at the cursor, a step by d shifts every lamp by -d."""
+    if s == TOGGLE:
+        return lambda x: x if x.cursor == 0 else LampElement(x.lamps ^ {0, x.cursor}, x.cursor)
+    d = s.cursor
+    return lambda x: LampElement(frozenset(p - d for p in x.lamps), x.cursor)
 
 
 def word_length(x: LampElement) -> int:

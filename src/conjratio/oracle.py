@@ -6,14 +6,20 @@ Any object with ``identity``, ``generators`` (closed under inversion),
 conjugation closure.
 The closure is union-find over the BFS positions of a padded ball
 B(N + slack), uniting u with s^-1 u s whenever both sides were enumerated.
-One generator s from each inverse pair suffices: if y = s^-1 u s then
-u = s y s^-1, so conjugating by s^-1 finds no edge that s does not. A union
-hangs the later root under the earlier, so a class's root is its first
-element in BFS order, which is a shortest one. It is one union pass: edges
-inside B(N + slack - 1) are united first, the slack - 1 census is taken,
-then the edges touching the outer sphere are united for the final census.
-A census reads the roots among the first |B(N)| positions: they are the
-classes meeting B(N), at their least lengths. The closure is exact where a
+It is a search outward from B(N): it starts at the first |B(N)| positions
+and follows the conjugation by every generator, so it walks both ways along
+each edge and reaches every element joined to B(N) inside the padded ball.
+Each edge is recorded once, from its lower endpoint. A union hangs the
+later root under the earlier, so a class's root is its first element in
+BFS order, which is a shortest one. It is one union pass: edges inside
+B(N + slack - 1) are united during the search, the slack - 1 census is
+taken, then the edges touching the outer sphere are united for the final
+census. A census reads the roots among the first |B(N)| positions: they are
+the classes meeting B(N), at their least lengths. A class the search never
+reaches lies wholly past |B(N)|, so leaving it unjoined changes neither
+census. A ``Group`` may carry a ``conjugator`` that gives s^-1 u s in one
+step for its own generators; otherwise the closure takes two products. The
+closure is exact where a
 conjugator-length argument exists (free groups, RAAGs: peeling to the
 cyclic reduction never leaves B(N)) and elsewhere it is reported together
 with a stability flag comparing against slack - 1. Generating-set
@@ -48,12 +54,14 @@ from .words import divisors, euler_phi
 @dataclass(frozen=True)
 class Group:
     """A group with a finite generating set, closed under inversion, over
-    hashable canonical elements."""
+    hashable canonical elements. ``conjugator``, when set, maps each of
+    ``generators`` s to the map x -> s^-1 x s, computed in one step."""
 
     identity: Any
     generators: tuple
     multiply: Callable[[Any, Any], Any]
     invert: Callable[[Any], Any]
+    conjugator: Optional[Callable[[Any], Callable[[Any], Any]]] = None
 
 
 class GenerationError(RuntimeError):
@@ -62,13 +70,38 @@ class GenerationError(RuntimeError):
 
 def with_generators(group: Group, generators: Iterable) -> Group:
     """The same group carried by another generating set: the given elements
-    and their inverses, in that order, without repeats or the identity."""
+    and their inverses, in that order, without repeats or the identity; the
+    constructor's ``conjugator`` does not carry over."""
     gens = list(generators)
     gens += [group.invert(g) for g in gens]
     closed = tuple(g for g in dict.fromkeys(gens) if g != group.identity)
     if not closed:
         raise ValueError("empty generating set")
-    return replace(group, generators=closed)
+    return replace(group, generators=closed, conjugator=None)
+
+
+def _two_products(group) -> Callable[[Any], Callable[[Any], Any]]:
+    """s -> (x -> s^-1 x s) by two products, for any group."""
+    multiply = group.multiply
+
+    def conjugator(s):
+        s_inv = group.invert(s)
+        return lambda x: multiply(multiply(s_inv, x), s)
+    return conjugator
+
+
+def _word_conjugator(invert: Callable) -> Callable[[Any], Callable[[Any], Any]]:
+    """Conjugators for one-letter generators of reduced words (``str`` or
+    tuple): s^-1 x s drops a leading s or prepends s^-1, then drops a
+    trailing s^-1 or appends s."""
+    def conjugator(s):
+        s_inv = invert(s)
+
+        def conjugate(x):
+            y = x[1:] if x[:1] == s else s_inv + x
+            return y[:-1] if y[-1:] == s_inv else y + s
+        return conjugate
+    return conjugator
 
 
 def FreeGroup(rank: int) -> Group:
@@ -79,7 +112,8 @@ def FreeGroup(rank: int) -> Group:
         raise ValueError(f"rank must be at most {free_group.MAX_RANK}, "
                          "one str character per letter")
     gens = tuple(map(chr, range(2 * rank)))
-    return Group("", gens, free_group.multiply, free_group.invert)
+    return Group("", gens, free_group.multiply, free_group.invert,
+                 _word_conjugator(free_group.invert))
 
 
 def FreeAbelian(dim: int) -> Group:
@@ -87,7 +121,8 @@ def FreeAbelian(dim: int) -> Group:
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    return Group((0,) * dim, units + tuple(_negate(u) for u in units), _add, _negate)
+    return Group((0,) * dim, units + tuple(_negate(u) for u in units), _add, _negate,
+                 lambda s: lambda x: x)
 
 
 def _add(x, y):
@@ -104,7 +139,7 @@ def DihedralInfinite() -> Group:
     Elements are alternating 0/1 tuples (the unique normal forms);
     multiplication cancels equal letters across the seam.
     """
-    return Group((), ((0,), (1,)), _dihedral_multiply, _reverse)
+    return Group((), ((0,), (1,)), _dihedral_multiply, _reverse, _word_conjugator(_reverse))
 
 
 def _dihedral_multiply(x, y):
@@ -158,7 +193,8 @@ def dihedral_y_class_spheres(max_n: int) -> list[int]:
 def Heisenberg() -> Group:
     """Integer Heisenberg group in Mal'cev coordinates (a, b, c)."""
     gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    return Group((0, 0, 0), gens, _heisenberg_multiply, _heisenberg_invert)
+    return Group((0, 0, 0), gens, _heisenberg_multiply, _heisenberg_invert,
+                 _heisenberg_conjugator)
 
 
 def _heisenberg_multiply(x, y):
@@ -167,6 +203,12 @@ def _heisenberg_multiply(x, y):
 
 def _heisenberg_invert(x):
     return (-x[0], -x[1], -x[2] + x[0] * x[1])
+
+
+def _heisenberg_conjugator(s):
+    """s = (d, e, f) conjugates (a, b, c) to (a, b, c + e a - d b)."""
+    d, e, _ = s
+    return lambda x: (x[0], x[1], x[2] + e * x[0] - d * x[1])
 
 
 def heisenberg_conjugacy_key(x: tuple[int, int, int]):
@@ -208,7 +250,7 @@ def RaagGroup(graph: GraphSpec) -> Group:
 
 
 def Lamplighter() -> Group:
-    return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert)
+    return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert, lamp.conjugator)
 
 
 def ball_enumerate(group, max_n: int):
@@ -255,26 +297,23 @@ class ConjugacyTable:
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
-    """Union-find over the BFS positions of B(max_n + slack); classes counted
-    by the smallest radius they meet. ``stable`` reports whether shrinking
-    the padding by one changes any count (None when slack = 0)."""
+    """Union-find over the BFS positions of B(max_n + slack), searched
+    outward from B(max_n); classes counted by the smallest radius they
+    meet. ``stable`` reports whether shrinking the padding by one changes
+    any count (None when slack = 0)."""
     if slack is None:
         slack = max_n
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     outer = max_n + slack
     dist, spheres = ball_enumerate(group, outer)
-    # One conjugator per inverse pair: if y = s^-1 x s then x = s y s^-1,
-    # so conjugating by s^-1 yields only edges that s already yields.
-    halves: dict = {}
-    for s in group.generators:
-        s_inv = group.invert(s)
-        if s_inv not in halves:
-            halves[s] = s_inv
+    conjugator = getattr(group, "conjugator", None) or _two_products(group)
+    conjugates = [conjugator(s) for s in group.generators]
     # union-find over BFS positions; a union hangs the later root under the
     # earlier, so each class's root is its first, and a shortest, element
-    parent = list(range(len(dist)))
-    index = dict(zip(dist, parent))
+    elements = list(dist)
+    parent = list(range(len(elements)))
+    index = dict(zip(elements, parent))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -285,20 +324,30 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         i, j = find(i), find(j)
         parent[max(i, j)] = min(i, j)
 
-    # edges inside B(outer - 1) are united now; the ones touching the outer
-    # sphere wait until the slack - 1 census has been taken
+    # search from B(max_n) by every generator, so each edge is met from both
+    # ends and recorded from the lower; edges inside B(outer - 1) are united
+    # now, the ones touching the outer sphere wait until the slack - 1 census
+    size = sum(spheres[:max_n + 1])
     inner = len(dist) - spheres[outer]
+    seen = bytearray(len(elements))
+    seen[:size] = b"\1" * size
+    queue = list(range(size))
     late = []
-    for x, i in index.items():
-        for s, s_inv in halves.items():
-            j = index.get(group.multiply(group.multiply(s_inv, x), s))
+    for i in queue:
+        x = elements[i]
+        for conjugate in conjugates:
+            j = index.get(conjugate(x))
             if j is None or j == i:
                 continue
-            if i < inner and j < inner:
+            if not seen[j]:
+                seen[j] = 1
+                queue.append(j)
+            if j < i:
+                continue
+            if j < inner:
                 union(i, j)
             else:
                 late.append((i, j))
-    size = sum(spheres[:max_n + 1])
 
     def census() -> list[int]:
         """Least lengths of the classes meeting B(max_n), ascending: they

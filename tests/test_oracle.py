@@ -1,5 +1,6 @@
 """Brute-force Cayley-graph oracle: BFS, conjugation closure, comparisons."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -264,12 +265,15 @@ class TestConjugacyClasses:
     @pytest.mark.parametrize("group,max_n", [
         pytest.param(FreeGroup(1), 6, id="free1"),
         pytest.param(FreeGroup(2), 4, id="free2"),
+        pytest.param(FreeGroup(2), 5, id="free2-n5"),
         pytest.param(FreeAbelian(2), 4, id="z2"),
         pytest.param(DihedralInfinite(), 6, id="dihedral-reflections"),
         pytest.param(with_generators(DihedralInfinite(), [(0,), (0, 1)]), 5,
                      id="dihedral-reflection-rotation"),
         pytest.param(Heisenberg(), 4, id="heisenberg"),
+        pytest.param(Heisenberg(), 5, id="heisenberg-n5"),
         pytest.param(Lamplighter(), 4, id="lamplighter"),
+        pytest.param(Lamplighter(), 5, id="lamplighter-n5"),
         pytest.param(RaagGroup(raag.path_graph(3)), 3, id="raag-p3"),
         pytest.param(RaagGroup(raag.empty_graph(2)), 3, id="raag-empty2"),
         pytest.param(with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2,
@@ -285,6 +289,24 @@ class TestConjugacyClasses:
         # cut to B(max_n), the padded ball is the BFS of B(max_n), in the same order
         ball = [(x, d) for x, d in table.dist.items() if d <= max_n]
         assert ball == list(ball_enumerate(group, max_n)[0].items())
+
+    def test_search_conjugates_only_the_classes_meeting_the_ball(self):
+        # the search from B(6) visits 4,369 of the 13,121 elements of B(8),
+        # each conjugated by the 4 generators
+        group, calls = FreeGroup(2), 0
+
+        def counted(s):
+            conjugate = group.conjugator(s)
+
+            def call(x):
+                nonlocal calls
+                calls += 1
+                return conjugate(x)
+            return call
+
+        table = conjugacy_classes(replace(group, conjugator=counted), 6, slack=2)
+        assert calls <= 4 * 4369
+        assert table == conjugacy_classes(group, 6, slack=2)
 
     @pytest.mark.parametrize("group", [
         pytest.param(FreeGroup(2), id="free2"),
@@ -318,6 +340,36 @@ class TestConjugacyClasses:
         table = conjugacy_classes(SymmetricGroup4(), max_n, slack=slack)
         assert table.stable is stable
         assert table.ball_classes == ball_classes
+
+
+KERNEL_GROUPS = {
+    "free2": FreeGroup(2),
+    "z3": FreeAbelian(3),
+    "dihedral": DihedralInfinite(),
+    "heisenberg": Heisenberg(),
+    "lamplighter": Lamplighter(),
+}
+
+
+class TestConjugators:
+    @pytest.mark.parametrize("group,s", [
+        pytest.param(group, s, id=f"{name}-{k}")
+        for name, group in KERNEL_GROUPS.items() for k, s in enumerate(group.generators)
+    ])
+    def test_kernel_is_the_group_law(self, group, s):
+        conjugate = group.conjugator(s)
+        s_inv = group.invert(s)
+        for x in ball_enumerate(group, 4)[0]:
+            assert conjugate(x) == group.multiply(group.multiply(s_inv, x), s)
+
+    @pytest.mark.parametrize("group,generators", [
+        pytest.param(DihedralInfinite(), [(0,), (0, 1)], id="dihedral-a-ab"),
+        pytest.param(FreeGroup(2), [free_word(c) for c in [(0,), (2,), (0, 2)]],
+                     id="free2-a-b-ab"),
+    ])
+    def test_other_generating_sets_carry_no_conjugator(self, group, generators):
+        assert group.conjugator is not None
+        assert with_generators(group, generators).conjugator is None
 
 
 class TestDihedralKey:

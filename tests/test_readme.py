@@ -1,12 +1,13 @@
 """The README's examples run as printed: the library snippet, and the CLI
-example's header and row."""
+example's header and row; its ``Group`` field list is the record's."""
 
+import dataclasses
 import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
 
-from conjratio import cli
+from conjratio import cli, oracle
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -30,3 +31,8 @@ def test_cli_example_row_matches_the_table(capsys):
     table = capsys.readouterr().out.splitlines()
     assert table[0] == header.strip()
     assert row.strip() in table[1:]
+
+
+def test_group_field_list_matches_the_record():
+    listed = re.search(r"the `Group` record \(([^)]*)\)", README).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(oracle.Group)]
