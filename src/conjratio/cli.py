@@ -182,10 +182,8 @@ def run_compare(cfg: RunConfig) -> str:
     if family.compare is None:
         supported = tuple(sorted(name for name, f in FAMILIES.items() if f.compare))
         raise ValueError(f"compare supports families {supported}, got {cfg.family!r}")
-    # the standard set's B(max_n), and B(2) at least: the ball that holds
-    # set y's generators ab (free) and st (D-infinity)
-    spheres_x = _charge_whole_ball(_series(cfg), max(cfg.max_n, 2))[:cfg.max_n + 1]
-    family.group(cfg)  # its own checks, such as the free rank cap
+    # both sets count by formula: no group is built, so there is no rank cap
+    spheres_x = _charge_whole_ball(_series(cfg), cfg.max_n)
     if cfg.max_n + 1 < cfg.window:
         raise ValueError(f"need at least {cfg.window} terms, got {cfg.max_n + 1}")
     series_y, classes_y = family.compare(cfg)
@@ -318,7 +316,8 @@ def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 class Family:
     """Everything the verbs need to know about one family: the sphere sizes'
     series as (numerator, denominator) coefficients, the class counts by
-    least length 0..n, and the oracle's group on the series' generators."""
+    least length 0..n, and the oracle's group on the series' generators,
+    which only ``validate`` builds."""
 
     validate: Callable[[RunConfig], list[tuple[str, int, bool]]]
     series: Callable[[RunConfig], tuple[Iterable[int], Iterable[int]]]

@@ -72,7 +72,7 @@ def is_cyclically_reduced(word: Word) -> bool:
 
 def conj_key(word: Word) -> Word:
     """Complete conjugacy invariant: least rotation of the cyclic reduction."""
-    return least_rotation(cyclic_reduce(word))
+    return "".join(least_rotation(cyclic_reduce(word)))
 
 
 def series(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, default_budget
 from .sequences import convolve, iter_series, poly_mul
-from .words import cycrep_counts, least_rotation, rotate
+from .words import cycrep_counts, least_rotation
 
 
 class GraphFormatError(ValueError):
@@ -405,23 +405,6 @@ def for_graph(graph: GraphSpec) -> Raag:
     if group is None:
         group = _RAAG_CACHE[graph] = Raag(graph)
     return group
-
-
-def normal_form(word: Sequence[int], graph: GraphSpec) -> tuple[int, ...]:
-    return for_graph(graph).word(word)
-
-
-def is_cyclic_normal_form(word: Sequence[int], graph: GraphSpec) -> bool:
-    """True iff every cyclic rotation is itself a shortlex normal form."""
-    group = for_graph(graph)
-    w = tuple(word)
-    return all(
-        group.word(rotate(w, r)) == rotate(w, r) for r in range(max(len(w), 1))
-    )
-
-
-def conj_key(word: Sequence[int], graph: GraphSpec):
-    return for_graph(graph).conj_key(word)
 
 
 def counts(graph: GraphSpec, max_n: int) -> RaagCounts:

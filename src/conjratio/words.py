@@ -1,10 +1,11 @@
-"""Words over a signed alphabet: rotations, primitivity, necklace counting.
+"""Words over a signed alphabet: rotations, primitive and necklace counts.
 
 Letters are encoded as small ints: generator i maps to 2*i and its inverse
 to 2*i + 1, so the natural int order realises the default letter order
 a_1 < a_1^-1 < a_2 < a_2^-1 < ...  The rotation utilities accept any
-sequence of mutually comparable items, which lets the same code canonise
-0/1 parity vectors and free-group ``str`` words (see free_group.py).
+sequence of mutually comparable items and return tuples, which lets the
+same code canonise letter codes, 0/1 parity vectors and the characters of
+free-group ``str`` words (see free_group.py).
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from __future__ import annotations
 from typing import Sequence, TypeVar
 
 Item = TypeVar("Item")
-
-
-def inverse_code(code: int) -> int:
-    return code ^ 1
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -43,37 +40,11 @@ def rotate(word: Sequence[Item], k: int) -> tuple[Item, ...]:
     return w[k:] + w[:k]
 
 
-def least_rotation(word: Sequence[Item]) -> Sequence[Item]:
-    """Lexicographically least cyclic rotation.
-
-    A ``str`` gives a ``str``, by C-level scans: the smallest period p from
-    ``(w + w).find(w, 1)``, then the least of the root's rotations that start
-    at its least letter, repeated n / p times. Worst case O(n * occurrences
-    of the least letter) character comparisons, on a primitive word.
-
-    Any other sequence gives a tuple, by Booth's algorithm, O(n), with items
-    compared natively: that is the letter order for encoded letters, and
-    0 < 1 for bits.
+def least_rotation(word: Sequence[Item]) -> tuple[Item, ...]:
+    """Lexicographically least cyclic rotation, as a tuple, by Booth's
+    algorithm: O(n) comparisons of items in their native order, which is
+    the letter order for encoded letters and characters, and 0 < 1 for bits.
     """
-    if not isinstance(word, str):
-        return _booth(word)
-    n = len(word)
-    if n <= 1:
-        return word
-    ww = word + word
-    p = ww.find(word, 1)
-    least = min(word)
-    best = word[:p]
-    i = ww.find(least)
-    while i < p:  # ww has period p, so a later occurrence always exists
-        candidate = ww[i:i + p]
-        if candidate < best:
-            best = candidate
-        i = ww.find(least, i + 1)
-    return best * (n // p)
-
-
-def _booth(word: Sequence[Item]) -> tuple[Item, ...]:
     w = tuple(word)
     n = len(w)
     if n <= 1:
@@ -95,18 +66,6 @@ def _booth(word: Sequence[Item]) -> tuple[Item, ...]:
         else:
             f[j - k] = i + 1
     return rotate(w, k % n)
-
-
-def is_primitive(word: Sequence[Item]) -> bool:
-    """True unless the word is a proper power v^k, k > 1 (divisor-period check)."""
-    w = tuple(word)
-    n = len(w)
-    if n == 0:
-        raise ValueError("the empty word is not classified")
-    for d in divisors(n):
-        if d < n and w[:d] * (n // d) == w:
-            return False
-    return True
 
 
 def divisors(n: int) -> list[int]:

@@ -397,19 +397,29 @@ class TestTruncation:
          "element budget 200000 exceeded; completed radius 1"),
         (["--family", "free", "--rank", "600000", "--max-n", "3"], None,
          "element budget 5000000 exceeded; completed radius 1"),
-        # |B(2)| = 1,241,250,004,997 fits this budget; a letter is one str character
-        (["--family", "free", "--rank", "557057", "--max-n", "0"],
-         str(10 ** 13), "rank must be at most 557056, one str character per letter"),
+        # |B(2)| = 1,241,250,004,997 fits this budget; validate's oracle spells a
+        # letter as one str character, while compare builds no group and has no cap
+        ({"validate": ["--family", "free", "--rank", "557057", "--max-n", "0"],
+          "compare": ["--family", "free", "--rank", "557057", "--max-n", "1", "--window", "2"]},
+         str(10 ** 13), {"validate": "rank must be at most 557056, one str character per letter",
+                         "compare": None}),
     ], ids=["Z^2000", "F600000", "rank-cap"])
     def test_compare_and_validate_charge_before_building_the_group(
             self, monkeypatch, verb, argv, budget, err):
+        if isinstance(argv, dict):
+            argv, err = argv[verb], err[verb]
         if budget is None:
             monkeypatch.delenv("CONJRATIO_BUDGET", raising=False)
         else:
             monkeypatch.setenv("CONJRATIO_BUDGET", budget)
         start = time.perf_counter()
-        assert run_cli([verb, *argv]) == (2, "", f"error: {err}\n")
+        code, out, stderr = run_cli([verb, *argv])
         assert time.perf_counter() - start < 0.5
+        if err is None:  # the table, to radius 1
+            assert (code, stderr) == (0, "")
+            assert [row[0] for row in rows(out)] == ["0", "1"]
+        else:
+            assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
     @pytest.mark.parametrize("text,argv,budget,completed", [
         # |B(6)| = 2,901 and |B(7)| = 8,731 for P3: the charge names the
@@ -621,10 +631,15 @@ class TestCompare:
         assert run_cli(["compare", "--family", "free", "--rank", "24", "--max-n", "4"]) == (
             2, "", "error: element budget 5000000 exceeded; completed radius 3\n")
         assert time.perf_counter() - start < 0.5
-        # the charge reaches radius 2 even for a shorter table: B(2) holds a + b
-        monkeypatch.setenv("CONJRATIO_BUDGET", "16")  # |B(2)| = 17 for rank 2
-        assert run_cli(["compare", "--family", "free", "--max-n", "1", "--window", "2"]) == (
-            2, "", "error: element budget 16 exceeded; completed radius 1\n")
+        # the charge stops at max_n: for rank 2 |B(1)| = 5 and |B(2)| = 17 under
+        # the standard set, and |B(1)| = 7 under {a, b, ab}
+        argv = ["compare", "--family", "free", "--max-n", "1", "--window", "2"]
+        monkeypatch.setenv("CONJRATIO_BUDGET", "16")
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert [row[0] for row in rows(out)] == ["0", "1"]
+        monkeypatch.setenv("CONJRATIO_BUDGET", "4")
+        assert run_cli(argv) == (2, "", "error: element budget 4 exceeded; completed radius 0\n")
 
     # sha256 of stdout; the csv digests are the benchmark's
     BENCHMARK_DIGESTS = {
@@ -648,6 +663,18 @@ class TestCompare:
         for name in ("ball_enumerate", "_check_generates", "key_class_counts",
                      "generating_set_comparison"):
             monkeypatch.setattr(oracle, name, refuse)
+        self.assert_benchmark_digests(fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_benchmark_configs_build_no_group(self, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare built a group")
+
+        for name in ("FreeGroup", "FreeAbelian", "DihedralInfinite"):
+            monkeypatch.setattr(oracle, name, refuse)
+        self.assert_benchmark_digests(fmt)
+
+    def assert_benchmark_digests(self, fmt):
         for argv in (["--family", "free", "--rank", "2", "--max-n", "9"],
                      ["--family", "dihedral-inf", "--max-n", "40"],
                      ["--family", "free-abelian", "--dim", "1", "--max-n", "12"]):
