@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -37,7 +38,6 @@ class RunConfig:
     slack: Optional[int] = None
     fmt: str = "csv"
     window: int = 5
-    _graph: Optional[raag.GraphSpec] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -57,12 +57,12 @@ class RunConfig:
         if self.family == "raag" and not self.graph_path:
             raise ValueError("family raag needs --graph FILE")
 
-    def graph(self) -> raag.GraphSpec:
-        """The commutation graph, parsed from its file once per run."""
-        if self._graph is None:
-            assert self.graph_path is not None
-            self._graph = raag.graph_from_file(self.graph_path)
-        return self._graph
+    @cached_property
+    def artin(self) -> raag.Raag:
+        """The run's one right-angled Artin group, built from its graph file
+        once: the series, class counts, oracle group and key share it."""
+        assert self.graph_path is not None
+        return raag.Raag(raag.graph_from_file(self.graph_path))
 
 
 @dataclass
@@ -187,7 +187,11 @@ def run_compare(cfg: RunConfig) -> str:
     if cfg.max_n + 1 < cfg.window:
         raise ValueError(f"need at least {cfg.window} terms, got {cfg.max_n + 1}")
     series_y, classes_y = family.compare(cfg)
-    spheres_y = _charge_whole_ball(iter_series(*series_y), cfg.max_n)
+    try:
+        spheres_y = _charge_whole_ball(iter_series(*series_y), cfg.max_n)
+    except BudgetExceededError as exc:
+        exc.args = (f"second generating set: {exc}",)
+        raise
     ratios_x = _ratios(spheres_x, family.classes(cfg, cfg.max_n))
     ratios_y = _ratios(spheres_y, classes_y(cfg.max_n))
     columns = {
@@ -284,7 +288,7 @@ def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
     return _suite(cfg, 5, 2, ("raag: ball counts vs oracle BFS",
                               "raag: conjugacy counts vs oracle"),
-                  raag.for_graph(cfg.graph()).element_key)[1]
+                  cfg.artin.element_key)[1]
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
@@ -340,9 +344,9 @@ FAMILIES = {
                            lambda cfg: oracle.FreeAbelian(cfg.dim),
                            parameters=lambda cfg: {"dim": cfg.dim},
                            compare=lambda cfg: _compare_free_abelian(cfg.dim)),
-    "raag": Family(_validate_raag, lambda cfg: raag.sphere_series(cfg.graph()),
-                   lambda cfg, n: raag.class_spheres(cfg.graph(), n),
-                   lambda cfg: oracle.RaagGroup(cfg.graph()),
+    "raag": Family(_validate_raag, lambda cfg: raag.sphere_series(cfg.artin),
+                   lambda cfg, n: raag.class_spheres(cfg.artin, n),
+                   lambda cfg: oracle.RaagGroup(cfg.artin),
                    parameters=lambda cfg: {"graph": cfg.graph_path}),
     "lamplighter": Family(_validate_lamplighter, lambda cfg: lamplighter.SERIES,
                           lambda cfg, n: lamplighter.conjugacy_counts(n)[0],

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
-from .sequences import iter_series, poly_mul
+from .sequences import iter_series, poly_add, poly_mul
 from .words import cycrep_counts, divisors, euler_phi, least_rotation
 
 Word = str
@@ -155,14 +155,6 @@ def extended_series(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (1, 3, 2), (1, 1 - 2 * rank, 4 - 4 * rank)
 
 
-def _poly_add(*polys: Sequence[int]) -> list[int]:
-    out = [0] * max(map(len, polys))
-    for poly in polys:
-        for i, x in enumerate(poly):
-            out[i] += x
-    return out
-
-
 def extended_conjugacy_sphere_counts(rank: int, max_n: int) -> list[int]:
     """Classes by least length 0..max_n under the extended set at rank k >= 2.
 
@@ -184,12 +176,12 @@ def extended_conjugacy_sphere_counts(rank: int, max_n: int) -> list[int]:
     traces: dict[int, list[int]] = {}
     classes = [1] + [0] * max_n
     for length in range(1, 2 * max_n + 1):
-        p = _poly_add([-length * c for c in q.get(length, [0])],
-                      *(poly_mul([-c for c in q[i]], power_sums[length - i])
-                        for i in range(1, min(length, 4))))
+        p = poly_add([-length * c for c in q.get(length, [0])],
+                     *(poly_mul([-c for c in q[i]], power_sums[length - i])
+                       for i in range(1, min(length, 4))))
         power_sums[length] = p
-        traces[length] = _poly_add(p, [(rank - 3) * (-1) ** length + rank - 2],
-                                   [0] * (length // 2) + [2] if length % 2 == 0 else [0])
+        traces[length] = poly_add(p, [(rank - 3) * (-1) ** length + rank - 2],
+                                  [0] * (length // 2) + [2] if length % 2 == 0 else [0])
         totals = [0] * (length // 2 + 1)  # by cyclic occurrences j
         for d in divisors(length):
             e = length // d

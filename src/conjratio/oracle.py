@@ -2,8 +2,9 @@
 
 Any object with ``identity``, ``generators`` (closed under inversion),
 ``multiply`` and ``invert`` over hashable canonical elements, such as a
-``Group`` record, can be ball-enumerated by BFS and conjugacy-classified by
-conjugation closure.
+``Group`` record, can be ball-enumerated by BFS; one that also has a
+``conjugator``, mapping each generator s to x -> s^-1 x s, can be
+conjugacy-classified by conjugation closure.
 The closure is union-find over the BFS positions of a padded ball
 B(N + slack), uniting u with s^-1 u s whenever both sides were enumerated.
 It is a search outward from B(N): it starts at the first |B(N)| positions
@@ -17,9 +18,9 @@ taken, then the edges touching the outer sphere are united for the final
 census. A census reads the roots among the first |B(N)| positions: they are
 the classes meeting B(N), at their least lengths. A class the search never
 reaches lies wholly past |B(N)|, so leaving it unjoined changes neither
-census. A ``Group`` may carry a ``conjugator`` that gives s^-1 u s in one
-step for its own generators; otherwise the closure takes two products. The
-closure is exact where a
+census. Each constructor's ``conjugator`` gives s^-1 u s in one step for
+its own generators; only a group under another generating set
+(``with_generators``) takes two products. The closure is exact where a
 conjugator-length argument exists (free groups, RAAGs: peeling to the
 cyclic reduction never leaves B(N)) and elsewhere it is reported together
 with a stability flag comparing against slack - 1. Generating-set
@@ -46,7 +47,7 @@ from typing import Any, Callable, Iterable, Optional
 from . import free_group
 from . import lamplighter as lamp
 from .errors import BudgetExceededError, default_budget
-from .raag import GraphSpec, for_graph
+from .raag import Raag
 from .sequences import WindowEstimate, ratio, window_estimate
 from .words import divisors, euler_phi
 
@@ -54,14 +55,14 @@ from .words import divisors, euler_phi
 @dataclass(frozen=True)
 class Group:
     """A group with a finite generating set, closed under inversion, over
-    hashable canonical elements. ``conjugator``, when set, maps each of
-    ``generators`` s to the map x -> s^-1 x s, computed in one step."""
+    hashable canonical elements. ``conjugator`` maps each of ``generators``
+    s to the map x -> s^-1 x s."""
 
     identity: Any
     generators: tuple
     multiply: Callable[[Any, Any], Any]
     invert: Callable[[Any], Any]
-    conjugator: Optional[Callable[[Any], Callable[[Any], Any]]] = None
+    conjugator: Callable[[Any], Callable[[Any], Any]]
 
 
 class GenerationError(RuntimeError):
@@ -70,17 +71,17 @@ class GenerationError(RuntimeError):
 
 def with_generators(group: Group, generators: Iterable) -> Group:
     """The same group carried by another generating set: the given elements
-    and their inverses, in that order, without repeats or the identity; the
-    constructor's ``conjugator`` does not carry over."""
+    and their inverses, in that order, without repeats or the identity,
+    conjugated by two products."""
     gens = list(generators)
     gens += [group.invert(g) for g in gens]
     closed = tuple(g for g in dict.fromkeys(gens) if g != group.identity)
     if not closed:
         raise ValueError("empty generating set")
-    return replace(group, generators=closed, conjugator=None)
+    return replace(group, generators=closed, conjugator=_two_products(group))
 
 
-def _two_products(group) -> Callable[[Any], Callable[[Any], Any]]:
+def _two_products(group: Group) -> Callable[[Any], Callable[[Any], Any]]:
     """s -> (x -> s^-1 x s) by two products, for any group."""
     multiply = group.multiply
 
@@ -243,10 +244,13 @@ def heisenberg_class_spheres(max_n: int) -> list[int]:
     return spheres
 
 
-def RaagGroup(graph: GraphSpec) -> Group:
-    """Right-angled Artin group over shortlex normal forms, on the graph's one ``Raag``."""
-    artin = for_graph(graph)
-    return Group((), artin.generators(), artin.multiply, artin.invert)
+def RaagGroup(artin: Raag) -> Group:
+    """Right-angled Artin group over shortlex normal forms, on the given
+    ``Raag``. A generator s is one letter, so s^-1 x s is the one ``word``
+    call that pushes x's letters and s onto s^-1."""
+    word = artin.word
+    return Group((), artin.generators(), artin.multiply, artin.invert,
+                 lambda s: lambda x: word(x + s, (s[0] ^ 1,)))
 
 
 def Lamplighter() -> Group:
@@ -307,8 +311,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         raise ValueError("slack must be nonnegative")
     outer = max_n + slack
     dist, spheres = ball_enumerate(group, outer)
-    conjugator = getattr(group, "conjugator", None) or _two_products(group)
-    conjugates = [conjugator(s) for s in group.generators]
+    conjugates = [group.conjugator(s) for s in group.generators]
     # union-find over BFS positions; a union hangs the later root under the
     # earlier, so each class's root is its first, and a shortest, element
     elements = list(dist)

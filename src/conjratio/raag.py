@@ -9,7 +9,8 @@ unions, the clique polynomial composes over its cotree and
 products (a union adds the necklaces of alternating syllables). Over
 other graphs the series' denominator is read term by term from clique
 counts, and the classes come from the word counter ``counts``, which
-also backs the tests.
+also backs the tests. A run builds one ``Raag`` from its graph and passes
+it to the series, the class counts, the oracle's group and the class key.
 
 Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and an
 element is its shortlex normal form, its least geodesic word, as a tuple of
@@ -34,13 +35,14 @@ closure check the counter by an independent route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat, zip_longest
+from itertools import chain, count, islice, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, default_budget
-from .sequences import convolve, iter_series, poly_mul
+from .sequences import convolve, iter_series, poly_add, poly_mul
 from .words import cycrep_counts, least_rotation
 
 
@@ -87,8 +89,9 @@ def graph_from_text(text: str) -> GraphSpec:
             names = line[len("vertices:"):].split()
             if not names:
                 raise GraphFormatError(line_no, "vertices line lists no vertices")
+            tally = Counter(names)
             for name in names:
-                if names.count(name) > 1:
+                if tally[name] > 1:
                     raise GraphFormatError(line_no, f"duplicate vertex {name!r}")
             labels = tuple(names)
             index = {name: i for i, name in enumerate(names)}
@@ -396,19 +399,8 @@ class Raag:
         return RaagCounts(sphere, conj_sphere, support_classes)
 
 
-_RAAG_CACHE: dict[GraphSpec, Raag] = {}
-
-
-def for_graph(graph: GraphSpec) -> Raag:
-    """The graph's one ``Raag``: the counter, series, oracle group and key share it."""
-    group = _RAAG_CACHE.get(graph)
-    if group is None:
-        group = _RAAG_CACHE[graph] = Raag(graph)
-    return group
-
-
 def counts(graph: GraphSpec, max_n: int) -> RaagCounts:
-    return for_graph(graph).counts(max_n)
+    return Raag(graph).counts(max_n)
 
 
 # Growth by formula over the cotree of a cograph: a graph built from single
@@ -434,14 +426,6 @@ def _compose(tree: Cotree, vertex, join: Callable, union: Callable):
             value = step(value, values[child])
         values[at] = value
     return values[0]
-
-
-def _add_less_one(p: list[int], q: list[int]) -> list[int]:
-    """p + q - 1: the clique polynomial of a disjoint union, which has one
-    empty clique."""
-    out = [x + y for x, y in zip_longest(p, q, fillvalue=0)]
-    out[0] -= 1
-    return out
 
 
 def _sphere_series(clique: list[int]) -> tuple[list[int], list[int]]:
@@ -502,28 +486,28 @@ def _chiswell_denominator(group: Raag) -> Iterator[int]:
         yield (-1) ** n * sum(c * comb(n - 1, m - 1) << m for m, c in enumerate(cliques, 1))
 
 
-def sphere_series(graph: GraphSpec) -> tuple[Iterable[int], Iterable[int]]:
+def sphere_series(group: Raag) -> tuple[Iterable[int], Iterable[int]]:
     """Numerator and denominator coefficients of the sphere sizes' series,
     Chiswell's 1 / C(-2t / (1 + t)) of the clique polynomial C. Over a
     cograph C comes from the cotree (a vertex is 1 + x, a join multiplies,
-    a union adds) and (1 + t)^w is cleared, so the denominator is finite;
-    over other graphs the denominator is read term by term."""
-    group = for_graph(graph)
+    a union adds, less the empty clique both sides count) and (1 + t)^w is
+    cleared, so the denominator is finite; over other graphs the
+    denominator is read term by term."""
     if group.cotree is None:
         return (1,), _chiswell_denominator(group)
-    return _sphere_series(_compose(group.cotree, [1, 1], poly_mul, _add_less_one))
+    return _sphere_series(_compose(group.cotree, [1, 1], poly_mul,
+                                   lambda p, q: poly_add(p, q, [-1])))
 
 
-def class_spheres(graph: GraphSpec, n: int) -> list[int]:
+def class_spheres(group: Raag, n: int) -> list[int]:
     """Conjugacy classes by least length 0..n. Over a cograph they compose
     over the cotree: a vertex is Z with classes 1, 2, 2, ...; a join
     convolves; a union is a free product (``_free_product_classes``).
     Other graphs run the word counter to radius n."""
-    tree = for_graph(graph).cotree
-    if tree is None:
-        return counts(graph, n).conj_sphere
+    if group.cotree is None:
+        return group.counts(n).conj_sphere
     return _compose(
-        tree, ([1, 1], [1] + [2] * n),
+        group.cotree, ([1, 1], [1] + [2] * n),
         lambda x, y: (poly_mul(x[0], y[0]), convolve(x[1], y[1])),
-        lambda x, y: (_add_less_one(x[0], y[0]), _free_product_classes(x, y, n)),
+        lambda x, y: (poly_add(x[0], y[0], [-1]), _free_product_classes(x, y, n)),
     )[1]

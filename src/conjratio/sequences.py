@@ -92,6 +92,15 @@ def convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
     return [sum(left[i] * right[k - i] for i in range(k + 1)) for k in range(n)]
 
 
+def poly_add(*polys: Sequence[int]) -> list[int]:
+    """The sum of coefficient lists, from x^0 up."""
+    out = [0] * max(map(len, polys))
+    for poly in polys:
+        for i, x in enumerate(poly):
+            out[i] += x
+    return out
+
+
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     """The full product of two coefficient lists, from x^0 up."""
     out = [0] * (len(p) + len(q) - 1)

@@ -156,13 +156,13 @@ def test_criterion_3_raag_suite():
     started = time.perf_counter()
     pair_ok = {}
     for name, text in GRAPH_TEXTS.items():
-        graph = graph_from_text(text)
-        group = oracle.RaagGroup(graph)
+        artin = raag.Raag(graph_from_text(text))
+        group = oracle.RaagGroup(artin)
         table = oracle.conjugacy_classes(group, 5, slack=2)
         dist, _ = oracle.ball_enumerate(group, 5)
         pair_ok[name] = (
             bool(table.stable)
-            and _partitions_agree(dist, raag.Raag(graph).element_key, table.class_of)
+            and _partitions_agree(dist, artin.element_key, table.class_of)
         )
     abelian_ok = True
     for name in ("edge-2", "triangle"):

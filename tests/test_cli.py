@@ -148,11 +148,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=fragment):
             RunConfig(**kwargs)
 
-    def test_graph_method_parses_file(self, p3_path):
+    def test_artin_is_built_from_the_graph_file_once(self, p3_path):
         cfg = RunConfig(family="raag", graph_path=p3_path)
-        graph = cfg.graph()
-        assert graph.labels == ("a", "b", "c")
-        assert graph.edges == frozenset({(0, 1), (1, 2)})
+        artin = cfg.artin
+        assert artin.graph.labels == ("a", "b", "c")
+        assert artin.graph.edges == frozenset({(0, 1), (1, 2)})
+        assert cfg.artin is artin
 
 
 class TestGrowthCsv:
@@ -690,8 +691,15 @@ class TestCompare:
         start = time.perf_counter()
         assert run_cli(["compare", "--family", "free-abelian", "--dim", "20",
                         "--max-n", "4"]) == (
-            2, "", "error: element budget 500000 exceeded; completed radius 3\n")
+            2, "", "error: second generating set: element budget 500000 exceeded; "
+                   "completed radius 3\n")
         assert time.perf_counter() - start < 0.5
+        # |B(1)| = 3 under the unit vector of Z fits, but under {±2, ±3} |B(1)| = 5
+        monkeypatch.setenv("CONJRATIO_BUDGET", "4")
+        assert run_cli(["compare", "--family", "free-abelian", "--dim", "1", "--max-n", "1",
+                        "--window", "2"]) == (
+            2, "", "error: second generating set: element budget 4 exceeded; "
+                   "completed radius 0\n")
 
     @pytest.mark.parametrize("family", [["free", "--rank", "1"], ["dihedral-inf"]],
                              ids=["F1", "D_inf"])
@@ -756,7 +764,7 @@ class TestValidate:
         assert code == 0
         assert out.splitlines()[-1] == "all checks passed"
 
-    def test_raag_suite_builds_one_raag(self, monkeypatch, p3_path):
+    def test_each_run_builds_one_raag(self, monkeypatch, p3_path):
         built, init = [], raag.Raag.__init__
 
         def counting_init(group, graph):
@@ -764,10 +772,11 @@ class TestValidate:
             init(group, graph)
 
         monkeypatch.setattr(raag.Raag, "__init__", counting_init)
-        monkeypatch.setattr(raag, "_RAAG_CACHE", {})
-        code, _, _ = run_cli(["validate", "--family", "raag", "--graph", p3_path,
-                              "--max-n", "3"])
-        assert code == 0 and len(built) == 1
+        for verb in ("growth", "growth", "validate"):
+            built.clear()
+            code, _, _ = run_cli([verb, "--family", "raag", "--graph", p3_path,
+                                  "--max-n", "3"])
+            assert code == 0 and len(built) == 1, verb
 
     def test_lamplighter_names_its_checks(self):
         _, out, _ = run_cli(["validate", "--family", "lamplighter", "--max-n", "7"])

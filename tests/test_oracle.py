@@ -115,6 +115,10 @@ class SymmetricGroup4:
             out[v] = i
         return tuple(out)
 
+    def conjugator(self, s):
+        # each generator is an involution: s^-1 x s = s x s
+        return lambda x: self.multiply(self.multiply(s, x), s)
+
 
 class TestAdapters:
     @pytest.mark.parametrize(
@@ -125,7 +129,7 @@ class TestAdapters:
             DihedralInfinite(),
             with_generators(DihedralInfinite(), [(0,), (0, 1)]),
             Heisenberg(),
-            RaagGroup(raag.path_graph(3)),
+            RaagGroup(raag.Raag(raag.path_graph(3))),
             Lamplighter(),
         ],
     )
@@ -147,7 +151,7 @@ class TestAdapters:
         (DihedralInfinite(), ((0,), (1,))),
         (Heisenberg(), ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))),
         # a, A, b, B, c, C on the path a - b - c, as normal forms
-        (RaagGroup(raag.path_graph(3)), ((0,), (1,), (2,), (3,), (4,), (5,))),
+        (RaagGroup(raag.Raag(raag.path_graph(3))), ((0,), (1,), (2,), (3,), (4,), (5,))),
         (Lamplighter(), (ll.TOGGLE, ll.STEP, ll.element((), -1))),
     ])
     def test_constructors_list_generators_in_order(self, group, generators):
@@ -274,8 +278,8 @@ class TestConjugacyClasses:
         pytest.param(Heisenberg(), 5, id="heisenberg-n5"),
         pytest.param(Lamplighter(), 4, id="lamplighter"),
         pytest.param(Lamplighter(), 5, id="lamplighter-n5"),
-        pytest.param(RaagGroup(raag.path_graph(3)), 3, id="raag-p3"),
-        pytest.param(RaagGroup(raag.empty_graph(2)), 3, id="raag-empty2"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), 3, id="raag-p3"),
+        pytest.param(RaagGroup(raag.Raag(raag.empty_graph(2))), 3, id="raag-empty2"),
         pytest.param(with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2,
                      id="free2-view"),
         pytest.param(SymmetricGroup4(), 2, id="s4"),
@@ -313,7 +317,7 @@ class TestConjugacyClasses:
         pytest.param(FreeAbelian(3), id="z3"),
         pytest.param(DihedralInfinite(), id="dihedral"),
         pytest.param(Heisenberg(), id="heisenberg"),
-        pytest.param(RaagGroup(raag.path_graph(3)), id="raag-p3"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), id="raag-p3"),
         pytest.param(Lamplighter(), id="lamplighter"),
     ])
     @pytest.mark.parametrize("slack", [0, 1, 2])
@@ -348,6 +352,9 @@ KERNEL_GROUPS = {
     "dihedral": DihedralInfinite(),
     "heisenberg": Heisenberg(),
     "lamplighter": Lamplighter(),
+    "raag-p3": RaagGroup(raag.Raag(raag.path_graph(3))),
+    "raag-p4": RaagGroup(raag.Raag(raag.path_graph(4))),
+    "free2-view": with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])),
 }
 
 
@@ -367,9 +374,20 @@ class TestConjugators:
         pytest.param(FreeGroup(2), [free_word(c) for c in [(0,), (2,), (0, 2)]],
                      id="free2-a-b-ab"),
     ])
-    def test_other_generating_sets_carry_no_conjugator(self, group, generators):
-        assert group.conjugator is not None
-        assert with_generators(group, generators).conjugator is None
+    def test_other_generating_sets_conjugate_by_two_products(self, group, generators):
+        products = []
+
+        def multiply(x, y):
+            products.append((x, y))
+            return group.multiply(x, y)
+
+        view = with_generators(replace(group, multiply=multiply), generators)
+        for s in view.generators:
+            s_inv = group.invert(s)
+            for x in ball_enumerate(group, 3)[0]:
+                products.clear()
+                view.conjugator(s)(x)
+                assert products == [(s_inv, x), (group.multiply(s_inv, x), s)]
 
 
 class TestDihedralKey:

@@ -34,10 +34,11 @@ def test_groups_built_under_the_tracer_call_its_wrappers():
     recorder = tracer.Tracer()
     hooks = tracer.Instrumentation(recorder)
     try:
-        for group in (oracle.FreeGroup(2), oracle.RaagGroup(raag.path_graph(3))):
+        artin = raag.Raag(raag.path_graph(3))
+        for group in (oracle.FreeGroup(2), oracle.RaagGroup(artin)):
             table = oracle.conjugacy_classes(group, 2, slack=1)
         # the RAAG key spans of the benchmark's validate run
-        oracle.key_class_counts(table.dist, raag.for_graph(raag.path_graph(3)).element_key, 2)
+        oracle.key_class_counts(table.dist, artin.element_key, 2)
     finally:
         hooks.remove()
     assert recorder.counts.get("free_group.multiply.calls", 0) > 0
