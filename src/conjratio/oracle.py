@@ -248,9 +248,8 @@ def RaagGroup(artin: Raag) -> Group:
     """Right-angled Artin group over shortlex normal forms, on the given
     ``Raag``. A generator s is one letter, so s^-1 x s is the one ``word``
     call that pushes x's letters and s onto s^-1."""
-    word = artin.word
     return Group((), artin.generators(), artin.multiply, artin.invert,
-                 lambda s: lambda x: word(x + s, (s[0] ^ 1,)))
+                 lambda s: lambda x: artin.word(x + s, (s[0] ^ 1,)))
 
 
 def Lamplighter() -> Group:
