@@ -254,7 +254,9 @@ def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
     and the rows every suite shares: the two named formula rows (the spheres
     and classes ``growth`` prints, against the BFS and the closure), the class
     key's partition of B(n) against the closure's where the family has a key,
-    then stability. A default slack of None means max(n, 1)."""
+    then stability. A default slack of None means max(n, 1). The closure
+    enumerates B(n) only for a group with ``length``, but the charge stays
+    B(n + slack): it bounds every conjugate the closure admits."""
     n = min(cfg.max_n, cap)
     default = max(n, 1) if default_slack is None else default_slack
     slack = default if cfg.slack is None else cfg.slack

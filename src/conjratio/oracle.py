@@ -5,21 +5,27 @@ Any object with ``identity``, ``generators`` (closed under inversion),
 ``Group`` record, can be ball-enumerated by BFS; one that also has a
 ``conjugator``, mapping each generator s to x -> s^-1 x s, can be
 conjugacy-classified by conjugation closure.
-The closure is union-find over the BFS positions of a padded ball
-B(N + slack), uniting u with s^-1 u s whenever both sides were enumerated.
-It is a search outward from B(N): it starts at the first |B(N)| positions
-and follows the conjugation by every generator, so it walks both ways along
-each edge and reaches every element joined to B(N) inside the padded ball.
-Each edge is recorded once, from its lower endpoint. A union hangs the
-later root under the earlier, so a class's root is its first element in
-BFS order, which is a shortest one. It is one union pass: edges inside
-B(N + slack - 1) are united during the search, the slack - 1 census is
-taken, then the edges touching the outer sphere are united for the final
-census. A census reads the roots among the first |B(N)| positions: they are
-the classes meeting B(N), at their least lengths. A class the search never
-reaches lies wholly past |B(N)|, so leaving it unjoined changes neither
-census. Each constructor's ``conjugator`` gives s^-1 u s in one step for
-its own generators; only a group under another generating set
+The closure is union-find over search positions, uniting u with s^-1 u s
+whenever both lie in B(N + slack). It is a search outward from B(N): the
+first |B(N)| positions are B(N) in BFS order, and it follows the
+conjugation by every generator, so it walks both ways along each edge and
+reaches every element joined to B(N) inside B(N + slack). A conjugate not
+yet indexed is admitted, at the next position, when its word length is at
+most N + slack; B(N) is indexed from the start, so every admitted element
+is longer than N. A group with ``length`` (every constructor here but
+``Heisenberg``) reads that length off the element, so only B(N) is
+enumerated; one without it (``Heisenberg``, ``with_generators`` views,
+duck-typed groups) looks it up in a BFS of the padded ball. Each edge is
+recorded once, from its lower endpoint. A union hangs the later root under the earlier, so the root of a
+class meeting B(N) is its first element of B(N) in BFS order, which is a
+shortest one. It is one union pass: edges whose ends are both shorter than
+N + slack are united during the search, the slack - 1 census is taken,
+then the edges touching the outer sphere are united for the final census.
+A census reads the roots among the first |B(N)| positions: they are the
+classes meeting B(N), at their least lengths. A class the search never
+reaches misses B(N), so leaving it out changes neither census. Each
+constructor's ``conjugator`` gives s^-1 u s in one step for its own
+generators; only a group under another generating set
 (``with_generators``) takes two products. The closure is exact where a
 conjugator-length argument exists (free groups, RAAGs: peeling to the
 cyclic reduction never leaves B(N)) and elsewhere it is reported together
@@ -56,13 +62,15 @@ from .words import divisors, euler_phi
 class Group:
     """A group with a finite generating set, closed under inversion, over
     hashable canonical elements. ``conjugator`` maps each of ``generators``
-    s to the map x -> s^-1 x s."""
+    s to the map x -> s^-1 x s; ``length``, where known, is an element's
+    word length in ``generators``."""
 
     identity: Any
     generators: tuple
     multiply: Callable[[Any, Any], Any]
     invert: Callable[[Any], Any]
     conjugator: Callable[[Any], Callable[[Any], Any]]
+    length: Optional[Callable[[Any], int]] = None
 
 
 class GenerationError(RuntimeError):
@@ -72,13 +80,14 @@ class GenerationError(RuntimeError):
 def with_generators(group: Group, generators: Iterable) -> Group:
     """The same group carried by another generating set: the given elements
     and their inverses, in that order, without repeats or the identity,
-    conjugated by two products."""
+    conjugated by two products; word lengths change with the set, so
+    ``length`` is None."""
     gens = list(generators)
     gens += [group.invert(g) for g in gens]
     closed = tuple(g for g in dict.fromkeys(gens) if g != group.identity)
     if not closed:
         raise ValueError("empty generating set")
-    return replace(group, generators=closed, conjugator=_two_products(group))
+    return replace(group, generators=closed, conjugator=_two_products(group), length=None)
 
 
 def _two_products(group: Group) -> Callable[[Any], Callable[[Any], Any]]:
@@ -114,7 +123,7 @@ def FreeGroup(rank: int) -> Group:
                          "one str character per letter")
     gens = tuple(map(chr, range(2 * rank)))
     return Group("", gens, free_group.multiply, free_group.invert,
-                 _word_conjugator(free_group.invert))
+                 _word_conjugator(free_group.invert), len)
 
 
 def FreeAbelian(dim: int) -> Group:
@@ -123,7 +132,7 @@ def FreeAbelian(dim: int) -> Group:
         raise ValueError("dimension must be at least 1")
     units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     return Group((0,) * dim, units + tuple(_negate(u) for u in units), _add, _negate,
-                 lambda s: lambda x: x)
+                 lambda s: lambda x: x, _l1_norm)
 
 
 def _add(x, y):
@@ -134,13 +143,18 @@ def _negate(x):
     return tuple(-a for a in x)
 
 
+def _l1_norm(x):
+    return sum(map(abs, x))
+
+
 def DihedralInfinite() -> Group:
     """Infinite dihedral group: free product of two involutions a, b.
 
     Elements are alternating 0/1 tuples (the unique normal forms);
     multiplication cancels equal letters across the seam.
     """
-    return Group((), ((0,), (1,)), _dihedral_multiply, _reverse, _word_conjugator(_reverse))
+    return Group((), ((0,), (1,)), _dihedral_multiply, _reverse, _word_conjugator(_reverse),
+                 len)
 
 
 def _dihedral_multiply(x, y):
@@ -247,13 +261,15 @@ def heisenberg_class_spheres(max_n: int) -> list[int]:
 def RaagGroup(artin: Raag) -> Group:
     """Right-angled Artin group over shortlex normal forms, on the given
     ``Raag``. A generator s is one letter, so s^-1 x s is the one ``word``
-    call that pushes x's letters and s onto s^-1."""
+    call that pushes x's letters and s onto s^-1. Shortlex normal forms are
+    geodesic, so an element's length is its number of letters."""
     return Group((), artin.generators(), artin.multiply, artin.invert,
-                 lambda s: lambda x: artin.word(x + s, (s[0] ^ 1,)))
+                 lambda s: lambda x: artin.word(x + s, (s[0] ^ 1,)), len)
 
 
 def Lamplighter() -> Group:
-    return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert, lamp.conjugator)
+    return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert, lamp.conjugator,
+                 lamp.word_length)
 
 
 def ball_enumerate(group, max_n: int):
@@ -286,8 +302,7 @@ def ball_enumerate(group, max_n: int):
 @dataclass
 class ConjugacyTable:
     """Conjugation-closure census of the classes meeting B(radius). ``dist``
-    is the padded ball the closure ran over, in BFS order; ``spheres`` are
-    the element sphere sizes of B(radius)."""
+    is B(radius) in BFS order; ``spheres`` are its sphere sizes."""
 
     radius: int
     slack: int
@@ -300,21 +315,31 @@ class ConjugacyTable:
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
-    """Union-find over the BFS positions of B(max_n + slack), searched
-    outward from B(max_n); classes counted by the smallest radius they
-    meet. ``stable`` reports whether shrinking the padding by one changes
-    any count (None when slack = 0)."""
+    """Union-find over a search outward from B(max_n) that admits the
+    conjugates of length at most max_n + slack; classes counted by the
+    smallest radius they meet. Lengths come from ``group.length``, or from a
+    BFS of B(max_n + slack) for a group without one. The search holds at
+    most the element budget. ``stable`` reports whether shrinking the
+    padding by one changes any count (None when slack = 0)."""
     if slack is None:
         slack = max_n
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     outer = max_n + slack
-    dist, spheres = ball_enumerate(group, outer)
+    length = getattr(group, "length", None)
+    dist, spheres = ball_enumerate(group, outer if length is None else max_n)
+    size = sum(spheres[:max_n + 1])
+    if length is None:
+        padded, dist = dist, dict(islice(dist.items(), size))
+        length = lambda y: padded.get(y, outer + 1)  # noqa: E731
+    limit = default_budget()
     conjugates = [group.conjugator(s) for s in group.generators]
-    # union-find over BFS positions; a union hangs the later root under the
-    # earlier, so each class's root is its first, and a shortest, element
+    # union-find over search positions, B(max_n) first in BFS order; a union
+    # hangs the later root under the earlier, so each class's root is its
+    # first, and a shortest, element
     elements = list(dist)
-    parent = list(range(len(elements)))
+    lengths = list(dist.values())
+    parent = list(range(size))
     index = dict(zip(elements, parent))
 
     def find(i: int) -> int:
@@ -326,27 +351,28 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         i, j = find(i), find(j)
         parent[max(i, j)] = min(i, j)
 
-    # search from B(max_n) by every generator, so each edge is met from both
-    # ends and recorded from the lower; edges inside B(outer - 1) are united
-    # now, the ones touching the outer sphere wait until the slack - 1 census
-    size = sum(spheres[:max_n + 1])
-    inner = len(dist) - spheres[outer]
-    seen = bytearray(len(elements))
-    seen[:size] = b"\1" * size
-    queue = list(range(size))
+    # search from B(max_n) by every generator, admitting conjugates of length
+    # at most outer, so each edge is met from both ends and recorded from the
+    # lower; edges with both ends shorter than outer are united now, the ones
+    # touching the outer sphere wait until the slack - 1 census
     late = []
-    for i in queue:
-        x = elements[i]
+    for i, x in enumerate(elements):  # grows as conjugates are admitted
         for conjugate in conjugates:
-            j = index.get(conjugate(x))
-            if j is None or j == i:
+            y = conjugate(x)
+            j = index.get(y)
+            if j is None:
+                d = length(y)
+                if d > outer:
+                    continue
+                if len(elements) >= limit:
+                    raise BudgetExceededError(max_n, limit)
+                j = index[y] = len(elements)
+                elements.append(y)
+                lengths.append(d)
+                parent.append(j)
+            elif j <= i:
                 continue
-            if not seen[j]:
-                seen[j] = 1
-                queue.append(j)
-            if j < i:
-                continue
-            if j < inner:
+            if lengths[i] < outer and lengths[j] < outer:
                 union(i, j)
             else:
                 late.append((i, j))
@@ -354,7 +380,7 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
     def census() -> list[int]:
         """Least lengths of the classes meeting B(max_n), ascending: they
         are the roots among its first |B(max_n)| positions."""
-        return [d for i, d in enumerate(islice(dist.values(), size)) if parent[i] == i]
+        return [d for i, d in enumerate(dist.values()) if parent[i] == i]
 
     smaller = census() if slack >= 1 else None
     for i, j in late:

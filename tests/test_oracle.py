@@ -268,6 +268,7 @@ class TestConjugacyClasses:
 
     @pytest.mark.parametrize("group,max_n", [
         pytest.param(FreeGroup(1), 6, id="free1"),
+        pytest.param(FreeGroup(2), 0, id="free2-n0"),
         pytest.param(FreeGroup(2), 4, id="free2"),
         pytest.param(FreeGroup(2), 5, id="free2-n5"),
         pytest.param(FreeAbelian(2), 4, id="z2"),
@@ -280,37 +281,72 @@ class TestConjugacyClasses:
         pytest.param(Lamplighter(), 5, id="lamplighter-n5"),
         pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), 3, id="raag-p3"),
         pytest.param(RaagGroup(raag.Raag(raag.empty_graph(2))), 3, id="raag-empty2"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(4))), 2, id="raag-p4"),
         pytest.param(with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2,
                      id="free2-view"),
         pytest.param(SymmetricGroup4(), 2, id="s4"),
     ])
-    @pytest.mark.parametrize("slack", [0, 1, 2])
+    @pytest.mark.parametrize("slack", [0, 1, 2, 3])
     def test_matches_reference_closure(self, group, max_n, slack):
         table = conjugacy_classes(group, max_n, slack=slack)
         expected = reference_closure(group, max_n, slack)
-        assert table == expected
+        # the table keeps B(max_n): the padded ball cut to it, in the same BFS order
+        ball = [(x, d) for x, d in expected.dist.items() if d <= max_n]
+        assert table == replace(expected, dist=dict(ball))
         assert list(table.class_of.items()) == list(expected.class_of.items())
-        # cut to B(max_n), the padded ball is the BFS of B(max_n), in the same order
-        ball = [(x, d) for x, d in table.dist.items() if d <= max_n]
+        assert list(table.dist.items()) == ball
         assert ball == list(ball_enumerate(group, max_n)[0].items())
 
+    @pytest.mark.parametrize("group,padded", [
+        pytest.param(FreeGroup(2), False, id="free2"),
+        pytest.param(FreeAbelian(2), False, id="z2"),
+        pytest.param(DihedralInfinite(), False, id="dihedral"),
+        pytest.param(Lamplighter(), False, id="lamplighter"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), False, id="raag-p3"),
+        pytest.param(Heisenberg(), True, id="heisenberg"),
+        pytest.param(SymmetricGroup4(), True, id="s4"),
+        pytest.param(with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), True,
+                     id="free2-view"),
+    ])
+    def test_only_groups_without_length_enumerate_the_padded_ball(self, monkeypatch, group,
+                                                                  padded):
+        radii = []
+
+        def recording(group, max_n):
+            radii.append(max_n)
+            return ball_enumerate(group, max_n)
+
+        monkeypatch.setattr(oracle, "ball_enumerate", recording)
+        conjugacy_classes(group, 3, slack=2)
+        assert radii == [5 if padded else 3]
+
     def test_search_conjugates_only_the_classes_meeting_the_ball(self):
-        # the search from B(6) visits 4,369 of the 13,121 elements of B(8),
-        # each conjugated by the 4 generators
-        group, calls = FreeGroup(2), 0
+        # the search touches B(6) and the conjugates it admits: from B(8)
+        # 4,369 of 13,121 elements, from B(12) 39,313 of 1,062,881
+        group = FreeGroup(2)
+        for slack, touched in ((2, 4369), (6, 39313)):
+            seen, calls = set(), 0
 
-        def counted(s):
-            conjugate = group.conjugator(s)
+            def counted(s):
+                conjugate = group.conjugator(s)
 
-            def call(x):
-                nonlocal calls
-                calls += 1
-                return conjugate(x)
-            return call
+                def call(x):
+                    nonlocal calls
+                    calls += 1
+                    seen.add(x)
+                    return conjugate(x)
+                return call
 
-        table = conjugacy_classes(replace(group, conjugator=counted), 6, slack=2)
-        assert calls <= 4 * 4369
-        assert table == conjugacy_classes(group, 6, slack=2)
+            table = conjugacy_classes(replace(group, conjugator=counted), 6, slack=slack)
+            assert len(seen) <= touched
+            assert calls == len(group.generators) * len(seen)
+            assert table == conjugacy_classes(group, 6, slack=slack)
+
+    def test_search_holds_at_most_the_budget(self, monkeypatch):
+        # B(4) = 161 fits; the conjugates of length at most 24 do not
+        monkeypatch.setenv("CONJRATIO_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError):
+            conjugacy_classes(FreeGroup(2), 4, slack=20)
 
     @pytest.mark.parametrize("group", [
         pytest.param(FreeGroup(2), id="free2"),
@@ -344,6 +380,32 @@ class TestConjugacyClasses:
         table = conjugacy_classes(SymmetricGroup4(), max_n, slack=slack)
         assert table.stable is stable
         assert table.ball_classes == ball_classes
+
+
+class TestLength:
+    """The closure admits conjugates by ``Group.length`` beyond the BFS, so
+    each constructor's length is pinned against BFS distance here."""
+
+    @pytest.mark.parametrize("group,radius", [
+        pytest.param(FreeGroup(1), 10, id="free1"),
+        pytest.param(FreeGroup(2), 8, id="free2"),
+        pytest.param(FreeGroup(3), 5, id="free3"),
+        pytest.param(DihedralInfinite(), 20, id="dihedral"),
+        pytest.param(FreeAbelian(3), 6, id="z3"),
+        pytest.param(Lamplighter(), 8, id="lamplighter"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), 5, id="raag-p3"),
+        pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 5, id="raag-c4"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(4))), 5, id="raag-p4"),
+    ])
+    def test_length_is_the_bfs_distance(self, group, radius):
+        for x, d in ball_enumerate(group, radius)[0].items():
+            assert group.length(x) == d
+
+    def test_views_drop_length_and_replace_keeps_it(self):
+        group = FreeGroup(2)
+        assert with_generators(group, group.generators).length is None
+        assert replace(group, conjugator=oracle._two_products(group)).length is len
+        assert Heisenberg().length is None
 
 
 KERNEL_GROUPS = {

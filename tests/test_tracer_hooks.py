@@ -76,7 +76,8 @@ def test_truncated_growth_runs_once_under_the_tracer(tmp_path, monkeypatch):
 
 def test_traced_validate_records_the_union_find_layer():
     # the benchmark's union_find layer is the closure on validate's check
-    # path: D_inf to radius 4 with the default slack 4 pads B(4) to B(8)
+    # path: D_inf to radius 4 with the default slack 4; D_inf has a word
+    # length, so the BFS builds B(4) (9 elements), not the padded B(8) (17)
     tracer = load_tracer()
     recorder = tracer.Tracer()
     hooks = tracer.Instrumentation(recorder)
@@ -88,5 +89,5 @@ def test_traced_validate_records_the_union_find_layer():
     assert code == 0
     assert recorder.calls["oracle.ball_enumerate"] == 1
     assert recorder.calls["oracle.conjugacy_classes"] == 1
-    assert recorder.counts["oracle.conjugacy_classes.padded_elements"] == 17
+    assert recorder.counts["oracle.conjugacy_classes.padded_elements"] == 9
     assert recorder.counts["oracle.conjugacy_classes.ball_elements"] == 9
