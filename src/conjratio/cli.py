@@ -9,27 +9,33 @@ layouts never depend on hash order.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from importlib import import_module
 from itertools import accumulate, islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import free_group, lamplighter, oracle, raag
 from .errors import BudgetExceededError, default_budget
 # convolve is not called here; perfbench/tracer.py wraps the name
 from .sequences import convolve, decimal_str, iter_power, iter_series, ratio, window_estimate
 from .words import cycrep_counts, divisors, euler_phi, primitive_counts
+
+if TYPE_CHECKING:
+    from . import oracle, raag
 
 GROWTH_HEADER = ("n", "ball", "sphere", "conj_ball", "conj_sphere", "ratio", "n_sph_ratio")
 COMPARE_HEADER = ("n", "ratio_x", "ratio_y", "abs_diff")
 NECKLACE_HEADER = ("n", "total", "primitive", "classes")
 
 
-@dataclass
-class RunConfig:
+def _module(name: str):
+    """The family module ``conjratio.<name>``, imported on first use: a run
+    loads only the module its family executes."""
+    return import_module(f".{name}", __package__)
+
+
+class _RunFields(NamedTuple):
     family: str
     rank: int = 2
     dim: int = 2
@@ -39,7 +45,12 @@ class RunConfig:
     fmt: str = "csv"
     window: int = 5
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    # no __slots__: ``artin`` is cached in the instance dict
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         if self.max_n < 0:
@@ -56,17 +67,19 @@ class RunConfig:
             raise ValueError("window must be at least 2")
         if self.family == "raag" and not self.graph_path:
             raise ValueError("family raag needs --graph FILE")
+        return self
 
     @cached_property
     def artin(self) -> raag.Raag:
         """The run's one right-angled Artin group, built from its graph file
         once: the series, class counts, oracle group and key share it."""
+        from . import raag
+
         assert self.graph_path is not None
         return raag.Raag(raag.graph_from_file(self.graph_path))
 
 
-@dataclass
-class GrowthData:
+class GrowthData(NamedTuple):
     sphere: list[int]
     conj_sphere: list[int]
 
@@ -138,6 +151,8 @@ def _csv_table(header: Sequence[str], columns: dict[str, list],
 def _json_table(payload: dict, cfg: Optional[RunConfig] = None) -> str:
     """The payload as indented JSON, after the run's family, parameters and
     max_n when it has a configuration."""
+    import json
+
     if cfg is not None:
         payload = {"family": cfg.family, "parameters": FAMILIES[cfg.family].parameters(cfg),
                    "max_n": cfg.max_n, **payload}
@@ -167,6 +182,8 @@ def _compare_free_abelian(dim: int):
 
 def _compare_free(cfg: RunConfig):
     """{a^2, a^3} at rank 1, else the extended set {a_1, ..., a_k, a_1 a_2} (see free_group)."""
+    from . import free_group
+
     if cfg.rank == 1:
         return _compare_free_abelian(1)
     return (free_group.extended_series(cfg.rank),
@@ -257,6 +274,8 @@ def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
     then stability. A default slack of None means max(n, 1). The closure
     enumerates B(n) only for a group with ``length``, but the charge stays
     B(n + slack): it bounds every conjugate the closure admits."""
+    from . import oracle
+
     n = min(cfg.max_n, cap)
     default = max(n, 1) if default_slack is None else default_slack
     slack = default if cfg.slack is None else cfg.slack
@@ -276,6 +295,8 @@ def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
 
 
 def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
+    from . import free_group
+
     table, rows = _suite(cfg, 8, 2, ("free: sphere formula vs BFS",
                                      "free: conjugacy counts vs oracle"))
     strict = free_group.cyclically_reduced_counts(cfg.rank, max(table.radius, 6))
@@ -294,6 +315,8 @@ def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 
 def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
+    from . import lamplighter
+
     table, rows = _suite(cfg, 7, None, ("lamplighter: sphere counts vs BFS",
                                         "lamplighter: conjugacy counts vs oracle"),
                          lamplighter.conj_key)
@@ -308,18 +331,21 @@ def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 
 def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
+    from . import oracle
+
     return _suite(cfg, 16, 4, ("dihedral-inf: ball size 2n+1",
                                "dihedral-inf: class count 3 + n//2 from n=2"),
                   oracle.dihedral_conjugacy_key)[1]
 
 
 def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
+    from . import oracle
+
     # no formula rows: perfbench/expected.json pins this suite's output
     return _suite(cfg, 6, None, key=oracle.heisenberg_conjugacy_key)[1]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything the verbs need to know about one family: the sphere sizes'
     series as (numerator, denominator) coefficients, the class counts by
     least length 0..n, and the oracle's group on the series' generators,
@@ -336,31 +362,31 @@ class Family:
 
 
 FAMILIES = {
-    "free": Family(_validate_free, lambda cfg: free_group.series(cfg.rank),
-                   lambda cfg, n: free_group.conjugacy_sphere_counts(cfg.rank, n),
-                   lambda cfg: oracle.FreeGroup(cfg.rank),
+    "free": Family(_validate_free, lambda cfg: _module("free_group").series(cfg.rank),
+                   lambda cfg, n: _module("free_group").conjugacy_sphere_counts(cfg.rank, n),
+                   lambda cfg: _module("oracle").FreeGroup(cfg.rank),
                    parameters=lambda cfg: {"rank": cfg.rank}, compare=_compare_free),
     # every element is its own class
     "free-abelian": Family(_validate_free_abelian, _free_abelian_series,
                            lambda cfg, n: list(islice(_series(cfg), n + 1)),
-                           lambda cfg: oracle.FreeAbelian(cfg.dim),
+                           lambda cfg: _module("oracle").FreeAbelian(cfg.dim),
                            parameters=lambda cfg: {"dim": cfg.dim},
                            compare=lambda cfg: _compare_free_abelian(cfg.dim)),
-    "raag": Family(_validate_raag, lambda cfg: raag.sphere_series(cfg.artin),
-                   lambda cfg, n: raag.class_spheres(cfg.artin, n),
-                   lambda cfg: oracle.RaagGroup(cfg.artin),
+    "raag": Family(_validate_raag, lambda cfg: _module("raag").sphere_series(cfg.artin),
+                   lambda cfg, n: _module("raag").class_spheres(cfg.artin, n),
+                   lambda cfg: _module("oracle").RaagGroup(cfg.artin),
                    parameters=lambda cfg: {"graph": cfg.graph_path}),
-    "lamplighter": Family(_validate_lamplighter, lambda cfg: lamplighter.SERIES,
-                          lambda cfg, n: lamplighter.conjugacy_counts(n)[0],
-                          lambda cfg: oracle.Lamplighter()),
-    "dihedral-inf": Family(_validate_dihedral, lambda cfg: oracle.DIHEDRAL_SERIES,
-                           lambda cfg, n: oracle.dihedral_class_spheres(n),
-                           lambda cfg: oracle.DihedralInfinite(),
-                           compare=lambda cfg: (oracle.DIHEDRAL_Y_SERIES,
-                                                oracle.dihedral_y_class_spheres)),
-    "heisenberg": Family(_validate_heisenberg, lambda cfg: oracle.HEISENBERG_SERIES,
-                         lambda cfg, n: oracle.heisenberg_class_spheres(n),
-                         lambda cfg: oracle.Heisenberg()),
+    "lamplighter": Family(_validate_lamplighter, lambda cfg: _module("lamplighter").SERIES,
+                          lambda cfg, n: _module("lamplighter").conjugacy_counts(n)[0],
+                          lambda cfg: _module("oracle").Lamplighter()),
+    "dihedral-inf": Family(_validate_dihedral, lambda cfg: _module("oracle").DIHEDRAL_SERIES,
+                           lambda cfg, n: _module("oracle").dihedral_class_spheres(n),
+                           lambda cfg: _module("oracle").DihedralInfinite(),
+                           compare=lambda cfg: (_module("oracle").DIHEDRAL_Y_SERIES,
+                                                _module("oracle").dihedral_y_class_spheres)),
+    "heisenberg": Family(_validate_heisenberg, lambda cfg: _module("oracle").HEISENBERG_SERIES,
+                         lambda cfg, n: _module("oracle").heisenberg_class_spheres(n),
+                         lambda cfg: _module("oracle").Heisenberg()),
 }
 
 

@@ -2,7 +2,7 @@
 
 Any object with ``identity``, ``generators`` (closed under inversion),
 ``multiply`` and ``invert`` over hashable canonical elements, such as a
-``Group`` record, can be ball-enumerated by BFS; one that also has a
+``Group`` (a NamedTuple), can be ball-enumerated by BFS; one that also has a
 ``conjugator``, mapping each generator s to x -> s^-1 x s, can be
 conjugacy-classified by conjugation closure.
 The closure is union-find over search positions, uniting u with s^-1 u s
@@ -45,21 +45,19 @@ come with a rational sphere series and class counts in closed form, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
-from . import free_group
-from . import lamplighter as lamp
 from .errors import BudgetExceededError, default_budget
-from .raag import Raag
 from .sequences import WindowEstimate, ratio, window_estimate
 from .words import divisors, euler_phi
 
+if TYPE_CHECKING:
+    from .raag import Raag
 
-@dataclass(frozen=True)
-class Group:
+
+class Group(NamedTuple):
     """A group with a finite generating set, closed under inversion, over
     hashable canonical elements. ``conjugator`` maps each of ``generators``
     s to the map x -> s^-1 x s; ``length``, where known, is an element's
@@ -87,7 +85,7 @@ def with_generators(group: Group, generators: Iterable) -> Group:
     closed = tuple(g for g in dict.fromkeys(gens) if g != group.identity)
     if not closed:
         raise ValueError("empty generating set")
-    return replace(group, generators=closed, conjugator=_two_products(group), length=None)
+    return group._replace(generators=closed, conjugator=_two_products(group), length=None)
 
 
 def _two_products(group: Group) -> Callable[[Any], Callable[[Any], Any]]:
@@ -116,6 +114,8 @@ def _word_conjugator(invert: Callable) -> Callable[[Any], Callable[[Any], Any]]:
 
 def FreeGroup(rank: int) -> Group:
     """Free group of finite rank over reduced ``str`` words (see free_group)."""
+    from . import free_group
+
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if rank > free_group.MAX_RANK:
@@ -268,6 +268,8 @@ def RaagGroup(artin: Raag) -> Group:
 
 
 def Lamplighter() -> Group:
+    from . import lamplighter as lamp
+
     return Group(lamp.IDENTITY, lamp.generators(), lamp.multiply, lamp.invert, lamp.conjugator,
                  lamp.word_length)
 
@@ -299,8 +301,7 @@ def ball_enumerate(group, max_n: int):
     return dist, spheres
 
 
-@dataclass
-class ConjugacyTable:
+class ConjugacyTable(NamedTuple):
     """Conjugation-closure census of the classes meeting B(radius). ``dist``
     is B(radius) in BFS order; ``spheres`` are its sphere sizes."""
 
@@ -446,8 +447,7 @@ def _check_generates(target, other, cap: int = 12) -> None:
         )
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Conjugacy-ratio sequences of one group under two generating sets."""
 
     ratios_x: tuple[Fraction, ...]

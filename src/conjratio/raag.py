@@ -36,10 +36,9 @@ closure check the counter by an independent route.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, default_budget
 from .sequences import convolve, iter_series, poly_add, poly_mul
@@ -55,23 +54,27 @@ class GraphFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Vertices are generator labels in declaration order (the order that
-    breaks shortlex ties); edges join generators that commute."""
-
+class _GraphFields(NamedTuple):
     labels: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        if not self.labels:
+
+class GraphSpec(_GraphFields):
+    """Vertices are generator labels in declaration order (the order that
+    breaks shortlex ties); edges join generators that commute."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels: tuple[str, ...], edges: frozenset[tuple[int, int]]):
+        if not labels:
             raise ValueError("need at least one vertex")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
-        k = len(self.labels)
-        for e in self.edges:
+        k = len(labels)
+        for e in edges:
             if len(e) != 2 or not 0 <= e[0] < e[1] < k:
                 raise ValueError(f"bad edge {e!r}; endpoints must satisfy 0 <= i < j < {k}")
+        return super().__new__(cls, labels, edges)
 
 
 def graph_from_text(text: str) -> GraphSpec:
@@ -151,8 +154,7 @@ def cycle_graph(k: int) -> GraphSpec:
     return GraphSpec(labels, frozenset(edges))
 
 
-@dataclass
-class RaagCounts:
+class RaagCounts(NamedTuple):
     sphere: list[int]
     conj_sphere: list[int]
     # classes grouped by the exact generator support of their shortest
@@ -197,9 +199,10 @@ class Raag:
         self.adjacent = tuple(frozenset(s) for s in adj)
         # bit j of _blocks[i]: a letter of generator i keeps a later letter
         # of generator j from moving left past it (j == i included): every
-        # vertex but i's neighbours
-        everyone = (1 << self.k) - 1
-        self._blocks = tuple(everyone & ~sum(1 << j for j in s) for s in adj)
+        # vertex but i's neighbours, kept as the negative int ~neighbours so
+        # it is as small as the neighbour list; every use tests a bit, ORs
+        # masks or ANDs with a vertex mask, so the bits past k never show
+        self._blocks = tuple(~sum(1 << j for j in s) for s in adj)
         self.cotree = self._cotree()
 
     def _cotree(self) -> Optional[Cotree]:

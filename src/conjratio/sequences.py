@@ -6,13 +6,11 @@ only appear in fitted slopes, never in the counts themselves.
 
 from __future__ import annotations
 
-import statistics
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MODE_INCREMENT = "increment"
 MODE_GEOMETRIC = "geometric"
@@ -110,8 +108,7 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class WindowEstimate:
+class WindowEstimate(NamedTuple):
     """limsup proxy over the last ``window`` terms: the running peak plus a
     least-squares slope of those terms (slope near 0 suggests the peak is
     already representative)."""
@@ -122,6 +119,8 @@ class WindowEstimate:
 
 
 def window_estimate(values: Sequence[Fraction], window: int = 5) -> WindowEstimate:
+    import statistics
+
     if window < 2:
         raise ValueError("window must be at least 2")
     if len(values) < window:
@@ -133,8 +132,7 @@ def window_estimate(values: Sequence[Fraction], window: int = 5) -> WindowEstima
     return WindowEstimate(peak=peak, slope=slope, window=window)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Outcome of a ratio-vanishing test.
 
     ``checks`` lists hypothesis names that were machine-verified, ``violated``
@@ -147,7 +145,7 @@ class VanishingReport:
     violated: tuple[str, ...]
     ratios: tuple[Fraction, ...]
     delta: Optional[float] = None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -177,6 +175,7 @@ def _fit_delta(small: Sequence[int], big: Sequence[int]) -> Optional[float]:
     """Least-squares fit of log(small[n]/big[n]) ~ n log(delta) over the
     last half of the data; None when a term is 0."""
     import math
+    import statistics
 
     n = min(len(small), len(big))
     start = max(1, n // 2)

@@ -7,7 +7,6 @@ determinism on top of that.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -265,7 +264,7 @@ class TestTruncation:
             return right.series(cfg)
 
         monkeypatch.setitem(cli.FAMILIES, "free",
-                            dataclasses.replace(right, series=counting_series))
+                            right._replace(series=counting_series))
         assert run_cli(argv) == expected
         assert len(calls) == 1
 
@@ -805,7 +804,7 @@ class TestValidate:
             classes = right.classes(cfg, n)
             return classes[:-1] + [classes[-1] + 1]
 
-        monkeypatch.setitem(cli.FAMILIES, family, dataclasses.replace(right, classes=off_by_one))
+        monkeypatch.setitem(cli.FAMILIES, family, right._replace(classes=off_by_one))
         graph = ["--graph", p3_path] if family == "raag" else []
         code, out, _ = run_cli(["validate", "--family", family, *argv, *graph])
         assert code == 1
@@ -830,8 +829,8 @@ class TestValidate:
         assert all(c["passed"] is True for c in payload["checks"])
 
     def test_failed_check_exits_1_in_both_formats(self, monkeypatch):
-        broken = dataclasses.replace(
-            cli.FAMILIES["free"], validate=lambda cfg: [("ok", 1, True), ("broken", 2, False)])
+        broken = cli.FAMILIES["free"]._replace(
+            validate=lambda cfg: [("ok", 1, True), ("broken", 2, False)])
         monkeypatch.setitem(cli.FAMILIES, "free", broken)
         code, out, _ = run_cli(["validate", "--family", "free", "--rank", "3"])
         assert code == 1

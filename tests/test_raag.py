@@ -10,6 +10,7 @@ slice of that closure.
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -301,6 +302,21 @@ class TestNormalForm:
         for n in range(5):
             for w in itertools.product(range(4), repeat=n):
                 assert free_word(r.word(w)) == fg.reduce_word(w)
+
+    def test_large_edgeless_graph_keeps_masks_as_small_as_its_edges(self):
+        # each vertex keeps the complement of its neighbour mask, not a
+        # k-bit mask, so memory grows with the edges rather than as k^2
+        # (a k-bit mask per vertex would hold about 50 MB here)
+        graph = GraphSpec(tuple(f"v{i}" for i in range(20000)), frozenset())
+        tracemalloc.start()
+        try:
+            r = Raag(graph)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 10 * 2 ** 20
+        assert r.word(parse_word("aAbc")) == parse_word("bc")
+        assert r.word(parse_word("cb")) == parse_word("cb")
 
     def test_triangle_closure_agreement(self):
         r = Raag(TRIANGLE)
