@@ -8,25 +8,34 @@ conjugacy-classified by conjugation closure.
 The closure is union-find over search positions, uniting u with s^-1 u s
 whenever both lie in B(N + slack). It is a search outward from B(N): the
 first |B(N)| positions are B(N) in BFS order, and it follows the
-conjugation by every generator, so it walks both ways along each edge and
-reaches every element joined to B(N) inside B(N + slack). A conjugate not
-yet indexed is admitted, at the next position, when its word length is at
-most N + slack; B(N) is indexed from the start, so every admitted element
-is longer than N. A group with ``length`` (every constructor here but
-``Heisenberg``) reads that length off the element, so only B(N) is
+conjugation by every generator, so it reaches every element joined to B(N)
+inside B(N + slack). A conjugate y = s^-1 x s not yet indexed is met when
+its word length is at most N + slack; B(N) is indexed from the start, so
+every met element is longer than N. The search conjugates y at once by
+every generator but s^-1, which leads back to x. If none of those
+conjugates but x and y itself lies in B(N + slack), y is a leaf: only x
+reaches it, it joins no two classes and no census reads it, so it is
+dropped, never indexed. Otherwise y is held at the next position. It
+carries to its visit, with their lengths, the conjugates just computed
+that lie in B(N + slack) and are not yet indexed; an indexed one other
+than x has not been visited, since its visit would have met y, and meets y
+itself. So no element is conjugated by the same generator twice. The
+element budget bounds what the search holds: B(N) and the met conjugates
+that are not leaves. A group with ``length`` (every constructor here but
+``Heisenberg``) reads a word length off the element, so only B(N) is
 enumerated; one without it (``Heisenberg``, ``with_generators`` views,
 duck-typed groups) looks it up in a BFS of the padded ball. Each edge is
-recorded once, from its lower endpoint. A union hangs the later root under the earlier, so the root of a
-class meeting B(N) is its first element of B(N) in BFS order, which is a
-shortest one. It is one union pass: edges whose ends are both shorter than
-N + slack are united during the search, the slack - 1 census is taken,
-then the edges touching the outer sphere are united for the final census.
-A census reads the roots among the first |B(N)| positions: they are the
-classes meeting B(N), at their least lengths. A class the search never
-reaches misses B(N), so leaving it out changes neither census. Each
-constructor's ``conjugator`` gives s^-1 u s in one step for its own
-generators; only a group under another generating set
-(``with_generators``) takes two products. The closure is exact where a
+recorded once, from its lower endpoint. A union hangs the later root under
+the earlier, so the root of a class meeting B(N) is its first element of
+B(N) in BFS order, which is a shortest one. It is one union pass: edges
+whose ends are both shorter than N + slack are united during the search,
+the slack - 1 census is taken, then the edges touching the outer sphere
+are united for the final census. A census reads the roots among the first
+|B(N)| positions: they are the classes meeting B(N), at their least
+lengths. A class the search never reaches misses B(N), so leaving it out
+changes neither census. Each constructor's ``conjugator`` gives s^-1 u s
+in one step for its own generators; only a group under another generating
+set (``with_generators``) takes two products. The closure is exact where a
 conjugator-length argument exists (free groups, RAAGs: peeling to the
 cyclic reduction never leaves B(N)) and elsewhere it is reported together
 with a stability flag comparing against slack - 1. Generating-set
@@ -316,12 +325,15 @@ class ConjugacyTable(NamedTuple):
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
-    """Union-find over a search outward from B(max_n) that admits the
+    """Union-find over a search outward from B(max_n) that meets the
     conjugates of length at most max_n + slack; classes counted by the
-    smallest radius they meet. Lengths come from ``group.length``, or from a
-    BFS of B(max_n + slack) for a group without one. The search holds at
-    most the element budget. ``stable`` reports whether shrinking the
-    padding by one changes any count (None when slack = 0)."""
+    smallest radius they meet. A met conjugate whose only conjugate in
+    B(max_n + slack) besides itself is the element that met it is a leaf,
+    and is dropped; the rest are held. Lengths come from ``group.length``,
+    or from a BFS of B(max_n + slack) for a group without one. The search
+    holds at most the element budget: B(max_n) and the held conjugates.
+    ``stable`` reports whether shrinking the padding by one changes any
+    count (None when slack = 0)."""
     if slack is None:
         slack = max_n
     if slack < 0:
@@ -334,7 +346,11 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         padded, dist = dist, dict(islice(dist.items(), size))
         length = lambda y: padded.get(y, outer + 1)  # noqa: E731
     limit = default_budget()
-    conjugates = [group.conjugator(s) for s in group.generators]
+    generators = group.generators
+    conjugates = [group.conjugator(s) for s in generators]
+    # conjugating s^-1 x s by s^-1 gives x back
+    position = {s: g for g, s in enumerate(generators)}
+    back = [position[group.invert(s)] for s in generators]
     # union-find over search positions, B(max_n) first in BFS order; a union
     # hangs the later root under the earlier, so each class's root is its
     # first, and a shortest, element
@@ -342,6 +358,9 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
     lengths = list(dist.values())
     parent = list(range(size))
     index = dict(zip(elements, parent))
+    # by held position past B(max_n): the (generator, conjugate, length)
+    # triples, flattened, that it carries to its visit
+    carried: list = []
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -352,31 +371,76 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         i, j = find(i), find(j)
         parent[max(i, j)] = min(i, j)
 
-    # search from B(max_n) by every generator, admitting conjugates of length
-    # at most outer, so each edge is met from both ends and recorded from the
-    # lower; edges with both ends shorter than outer are united now, the ones
-    # touching the outer sphere wait until the slack - 1 census
+    def hold(i: int, y, d: int, home: int) -> Optional[int]:
+        """The position at which y, a conjugate of position i met outside the
+        index at length d <= outer, is held, or None if y is a leaf: no
+        conjugate of y but position i and y lies in B(outer). ``home`` is the
+        generator leading back to i. An indexed conjugate of y other than i
+        is not visited yet, since its visit would have met y, so it records
+        that edge; y carries only its unindexed conjugates in B(outer)."""
+        near, leaf = [], True
+        for h, conjugate in enumerate(conjugates):
+            if h != home:
+                z = conjugate(y)
+                if z is y:
+                    continue
+                j = index.get(z)
+                if j is None:
+                    e = length(z)
+                    if e <= outer and z != y:
+                        near += h, z, e
+                elif j != i:
+                    leaf = False
+        if leaf and not near:
+            return None
+        if len(elements) >= limit:
+            raise BudgetExceededError(max_n, limit)
+        j = index[y] = len(elements)
+        elements.append(y)
+        lengths.append(d)
+        parent.append(j)
+        carried.append(near or ())
+        return j
+
+    # search from B(max_n) by every generator, holding the conjugates of
+    # length at most outer that are not leaves, and record each edge between
+    # held elements once, from its lower end: B(max_n) conjugates as it goes
+    # and skips conjugates indexed at or below its own position; a held
+    # element reads the conjugates it carries, all indexed after it. Edges
+    # with both ends shorter than outer are united now, the ones touching
+    # the outer sphere wait until the slack - 1 census.
     late = []
-    for i, x in enumerate(elements):  # grows as conjugates are admitted
-        for conjugate in conjugates:
+    for i in range(size):
+        x = elements[i]
+        for conjugate, home in zip(conjugates, back):
             y = conjugate(x)
+            if y is x:
+                continue
             j = index.get(y)
             if j is None:
                 d = length(y)
-                if d > outer:
+                if d > outer or (j := hold(i, y, d, home)) is None:
                     continue
-                if len(elements) >= limit:
-                    raise BudgetExceededError(max_n, limit)
-                j = index[y] = len(elements)
-                elements.append(y)
-                lengths.append(d)
-                parent.append(j)
             elif j <= i:
                 continue
             if lengths[i] < outer and lengths[j] < outer:
                 union(i, j)
             else:
                 late.append((i, j))
+    i = size
+    while i < len(elements):  # grows as elements are held
+        near, carried[i - size] = carried[i - size], None
+        for h, y, d in zip(*[iter(near)] * 3):
+            j = index.get(y)
+            if j is None:
+                if (j := hold(i, y, d, back[h])) is None:
+                    continue
+            if lengths[i] < outer and lengths[j] < outer:
+                union(i, j)
+            else:
+                late.append((i, j))
+        i += 1
+    del index, elements, lengths, carried
 
     def census() -> list[int]:
         """Least lengths of the classes meeting B(max_n), ascending: they
@@ -386,12 +450,12 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
     smaller = census() if slack >= 1 else None
     for i, j in late:
         union(i, j)
+    del late
     mins = census()
     stable = None if smaller is None else smaller == mins
     # roots come in BFS order, so classes are numbered as B(max_n) first meets them
     number: dict = {}
-    class_of = {x: number.setdefault(find(i), len(number))
-                for x, i in islice(index.items(), size)}
+    class_of = {x: number.setdefault(find(i), len(number)) for i, x in enumerate(dist)}
     sphere_classes = [0] * (max_n + 1)
     for m in mins:
         sphere_classes[m] += 1

@@ -1,5 +1,6 @@
 """Brute-force Cayley-graph oracle: BFS, conjugation closure, comparisons."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -224,6 +225,27 @@ class TestBallEnumerate:
             ball_enumerate(Skewed(), 2)
 
 
+# (group, radius, id) checked against the reference closure at slack 0..3
+REFERENCE_BALLS = [
+    (FreeGroup(1), 6, "free1"),
+    (FreeGroup(2), 0, "free2-n0"),
+    (FreeGroup(2), 4, "free2"),
+    (FreeGroup(2), 5, "free2-n5"),
+    (FreeAbelian(2), 4, "z2"),
+    (DihedralInfinite(), 6, "dihedral-reflections"),
+    (with_generators(DihedralInfinite(), [(0,), (0, 1)]), 5, "dihedral-reflection-rotation"),
+    (Heisenberg(), 4, "heisenberg"),
+    (Heisenberg(), 5, "heisenberg-n5"),
+    (Lamplighter(), 4, "lamplighter"),
+    (Lamplighter(), 5, "lamplighter-n5"),
+    (RaagGroup(raag.Raag(raag.path_graph(3))), 3, "raag-p3"),
+    (RaagGroup(raag.Raag(raag.empty_graph(2))), 3, "raag-empty2"),
+    (RaagGroup(raag.Raag(raag.path_graph(4))), 2, "raag-p4"),
+    (with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2, "free2-view"),
+    (SymmetricGroup4(), 2, "s4"),
+]
+
+
 class TestConjugacyClasses:
     def test_free_group_table(self):
         table = conjugacy_classes(FreeGroup(2), 4, slack=2)
@@ -265,27 +287,17 @@ class TestConjugacyClasses:
         with pytest.raises(ValueError):
             conjugacy_classes(FreeAbelian(1), 3, slack=-1)
 
-    @pytest.mark.parametrize("group,max_n", [
-        pytest.param(FreeGroup(1), 6, id="free1"),
-        pytest.param(FreeGroup(2), 0, id="free2-n0"),
-        pytest.param(FreeGroup(2), 4, id="free2"),
-        pytest.param(FreeGroup(2), 5, id="free2-n5"),
-        pytest.param(FreeAbelian(2), 4, id="z2"),
-        pytest.param(DihedralInfinite(), 6, id="dihedral-reflections"),
-        pytest.param(with_generators(DihedralInfinite(), [(0,), (0, 1)]), 5,
-                     id="dihedral-reflection-rotation"),
-        pytest.param(Heisenberg(), 4, id="heisenberg"),
-        pytest.param(Heisenberg(), 5, id="heisenberg-n5"),
-        pytest.param(Lamplighter(), 4, id="lamplighter"),
-        pytest.param(Lamplighter(), 5, id="lamplighter-n5"),
-        pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), 3, id="raag-p3"),
-        pytest.param(RaagGroup(raag.Raag(raag.empty_graph(2))), 3, id="raag-empty2"),
-        pytest.param(RaagGroup(raag.Raag(raag.path_graph(4))), 2, id="raag-p4"),
-        pytest.param(with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2,
-                     id="free2-view"),
-        pytest.param(SymmetricGroup4(), 2, id="s4"),
+    @pytest.mark.parametrize("group,max_n,slack", [
+        *(pytest.param(group, max_n, slack, id=f"{slack}-{name}")
+          for group, max_n, name in REFERENCE_BALLS for slack in (0, 1, 2, 3)),
+        # the search holds non-leaf conjugates, with loops and late edges on
+        # the outer sphere, next to the leaves it drops: of the padded
+        # conjugates met, 752 of 1,056 are leaves on C4, 48 of 224 on the
+        # lamplighter and 64 of 392 on Heisenberg
+        pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 3, 3, id="3-raag-c4"),
+        pytest.param(Lamplighter(), 4, 5, id="5-lamplighter"),
+        pytest.param(Heisenberg(), 4, 5, id="5-heisenberg"),
     ])
-    @pytest.mark.parametrize("slack", [0, 1, 2, 3])
     def test_matches_reference_closure(self, group, max_n, slack):
         table = conjugacy_classes(group, max_n, slack=slack)
         expected = reference_closure(group, max_n, slack)
@@ -319,11 +331,17 @@ class TestConjugacyClasses:
         conjugacy_classes(group, 3, slack=2)
         assert radii == [5 if padded else 3]
 
-    def test_search_conjugates_only_the_classes_meeting_the_ball(self):
-        # the search touches B(6) and the conjugates it admits: from B(8)
-        # 4,369 of 13,121 elements, from B(12) 39,313 of 1,062,881
+    def test_search_conjugates_only_the_classes_meeting_the_ball(self, monkeypatch):
+        # the search touches B(6) and the conjugates it meets: from B(8)
+        # 4,369 of 13,121 elements, from B(12) 39,313 of 1,062,881. B(6)
+        # conjugates by all 2k generators; a met conjugate by the 2k - 1 that
+        # do not lead back, once, whether it is held or dropped as a leaf.
+        # It holds B(6) and the met conjugates that are not leaves: 1,457
+        # (every met one is a leaf) and 13,105 elements.
         group = FreeGroup(2)
-        for slack, touched in ((2, 4369), (6, 39313)):
+        two_k = len(group.generators)
+        ball = 1457
+        for slack, touched, held in ((2, 4369, 1457), (6, 39313, 13105)):
             seen, calls = set(), 0
 
             def counted(s):
@@ -338,14 +356,48 @@ class TestConjugacyClasses:
 
             table = conjugacy_classes(group._replace(conjugator=counted), 6, slack=slack)
             assert len(seen) <= touched
-            assert calls == len(group.generators) * len(seen)
+            assert calls == two_k * ball + (two_k - 1) * (len(seen) - ball)
             assert table == conjugacy_classes(group, 6, slack=slack)
+            monkeypatch.setenv("CONJRATIO_BUDGET", str(held))
+            assert conjugacy_classes(group, 6, slack=slack) == table
+            if held > ball:
+                monkeypatch.setenv("CONJRATIO_BUDGET", str(held - 1))
+                with pytest.raises(BudgetExceededError):
+                    conjugacy_classes(group, 6, slack=slack)
+            monkeypatch.delenv("CONJRATIO_BUDGET")
 
     def test_search_holds_at_most_the_budget(self, monkeypatch):
         # B(4) = 161 fits; the conjugates of length at most 24 do not
         monkeypatch.setenv("CONJRATIO_BUDGET", "1000")
         with pytest.raises(BudgetExceededError):
             conjugacy_classes(FreeGroup(2), 4, slack=20)
+
+    @pytest.mark.parametrize("group,max_n,slack,held", [
+        # B(3) = 217 and 1,056 - 752 met conjugates that are not leaves; a
+        # conjugate equal to the one met is a loop, not a second neighbour
+        pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 3, 3, 521, id="raag-c4"),
+        # B(4) = 44 and 224 - 48
+        pytest.param(Lamplighter(), 4, 5, 220, id="lamplighter"),
+    ])
+    def test_search_holds_the_ball_and_the_conjugates_that_are_not_leaves(
+            self, monkeypatch, group, max_n, slack, held):
+        table = conjugacy_classes(group, max_n, slack=slack)
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(held))
+        assert conjugacy_classes(group, max_n, slack=slack) == table
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(held - 1))
+        with pytest.raises(BudgetExceededError):
+            conjugacy_classes(group, max_n, slack=slack)
+
+    def test_search_drops_the_leaves_of_the_padding(self):
+        # every conjugate met past B(8) in B(10) is a leaf: the search holds
+        # B(8), 13,121 elements, not the 39,361 it meets
+        tracemalloc.start()
+        try:
+            conjugacy_classes(FreeGroup(2), 8, slack=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2 ** 20
 
     @pytest.mark.parametrize("group", [
         pytest.param(FreeGroup(2), id="free2"),
