@@ -5,44 +5,38 @@ Any object with ``identity``, ``generators`` (closed under inversion),
 ``Group`` (a NamedTuple), can be ball-enumerated by BFS; one that also has a
 ``conjugator``, mapping each generator s to x -> s^-1 x s, can be
 conjugacy-classified by conjugation closure.
-The closure is union-find over search positions, uniting u with s^-1 u s
-whenever both lie in B(N + slack). It is a search outward from B(N): the
-first |B(N)| positions are B(N) in BFS order, and it follows the
-conjugation by every generator, so it reaches every element joined to B(N)
-inside B(N + slack). A conjugate y = s^-1 x s not yet indexed is met when
-its word length is at most N + slack; B(N) is indexed from the start, so
-every met element is longer than N. The search conjugates y at once by
-every generator but s^-1, which leads back to x. If none of those
-conjugates but x and y itself lies in B(N + slack), y is a leaf: only x
-reaches it, it joins no two classes and no census reads it, so it is
-dropped, never indexed. Otherwise y is held at the next position. It
-carries to its visit, with their lengths, the conjugates just computed
-that lie in B(N + slack) and are not yet indexed; an indexed one other
-than x has not been visited, since its visit would have met y, and meets y
-itself. So no element is conjugated by the same generator twice. The
-element budget bounds what the search holds: B(N) and the met conjugates
-that are not leaves. A group with ``length`` (every constructor here but
+The closure runs one search per class meeting B(N). It takes B(N) in BFS
+order, and an element that no earlier search met starts one: the search
+follows conjugation by every generator and admits a conjugate when its word
+length is at most N + slack, so it meets its class in B(N + slack) without
+enumerating that ball, and its start is the class's first element of B(N)
+in BFS order, a shortest one. A search holds B(N) and its own class only.
+It maps each element met to its inner class, its class in B(N + slack - 1),
+or to None on the outer sphere. An inner conjugate takes the inner class of
+the element that met it and goes on the stack. An element of the outer
+sphere waits on the rim, which is visited only when the stack is empty, so
+each inner class is finished before the search crosses the outer sphere; an
+inner conjugate met from the rim seeds a new inner class if it has none by
+the time it is visited. Every element met is conjugated by each generator
+once. The census counts one class per search, at its start's length, and
+the slack - 1 census counts the inner classes whose least length is at most
+N: an inner class that misses B(N) may still meet the rest of its class
+across the outer sphere. A class no search meets misses B(N), so leaving it
+out changes neither census. The element budget bounds B(N) and the elements
+met past it in the current class, so a budget that holds B(N + slack) holds
+the search. A group with ``length`` (every constructor here but
 ``Heisenberg``) reads a word length off the element, so only B(N) is
 enumerated; one without it (``Heisenberg``, ``with_generators`` views,
-duck-typed groups) looks it up in a BFS of the padded ball. Each edge is
-recorded once, from its lower endpoint. A union hangs the later root under
-the earlier, so the root of a class meeting B(N) is its first element of
-B(N) in BFS order, which is a shortest one. It is one union pass: edges
-whose ends are both shorter than N + slack are united during the search,
-the slack - 1 census is taken, then the edges touching the outer sphere
-are united for the final census. A census reads the roots among the first
-|B(N)| positions: they are the classes meeting B(N), at their least
-lengths. A class the search never reaches misses B(N), so leaving it out
-changes neither census. Each constructor's ``conjugator`` gives s^-1 u s
-in one step for its own generators; only a group under another generating
-set (``with_generators``) takes two products. The closure is exact where a
-conjugator-length argument exists (free groups, RAAGs: peeling to the
-cyclic reduction never leaves B(N)) and elsewhere it is reported together
-with a stability flag comparing against slack - 1. Generating-set
-comparison needs no closure: it counts each side's classes by an exact
-conjugacy key over that side's ball. It is the tests' route: ``conjratio
-compare`` counts both sets by formula, and the tests pin each formula
-against this BFS and key count.
+duck-typed groups) looks it up in a BFS of the padded ball. Each
+constructor's ``conjugator`` gives s^-1 u s in one step for its own
+generators; only a group under another generating set (``with_generators``)
+takes two products. The closure is exact where a conjugator-length argument
+exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
+B(N)) and elsewhere it is reported together with a stability flag comparing
+against slack - 1. Generating-set comparison needs no closure: it counts
+each side's classes by an exact conjugacy key over that side's ball. It is
+the tests' route: ``conjratio compare`` counts both sets by formula, and
+the tests pin each formula against this BFS and key count.
 
 Also hosts the two coordinate groups used as worked examples: the
 infinite dihedral group (normal forms: alternating words in two
@@ -325,13 +319,11 @@ class ConjugacyTable(NamedTuple):
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
-    """Union-find over a search outward from B(max_n) that meets the
-    conjugates of length at most max_n + slack; classes counted by the
-    smallest radius they meet. A met conjugate whose only conjugate in
-    B(max_n + slack) besides itself is the element that met it is a leaf,
-    and is dropped; the rest are held. Lengths come from ``group.length``,
-    or from a BFS of B(max_n + slack) for a group without one. The search
-    holds at most the element budget: B(max_n) and the held conjugates.
+    """One search per class meeting B(max_n), inside B(max_n + slack);
+    classes counted by the smallest radius they meet. Lengths come from
+    ``group.length``, or from a BFS of B(max_n + slack) for a group without
+    one. The search holds at most the element budget: B(max_n) and the
+    elements met past it in the current class, all in B(max_n + slack).
     ``stable`` reports whether shrinking the padding by one changes any
     count (None when slack = 0)."""
     if slack is None:
@@ -346,116 +338,72 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         padded, dist = dist, dict(islice(dist.items(), size))
         length = lambda y: padded.get(y, outer + 1)  # noqa: E731
     limit = default_budget()
-    generators = group.generators
-    conjugates = [group.conjugator(s) for s in generators]
-    # conjugating s^-1 x s by s^-1 gives x back
-    position = {s: g for g, s in enumerate(generators)}
-    back = [position[group.invert(s)] for s in generators]
-    # union-find over search positions, B(max_n) first in BFS order; a union
-    # hangs the later root under the earlier, so each class's root is its
-    # first, and a shortest, element
-    elements = list(dist)
-    lengths = list(dist.values())
-    parent = list(range(size))
-    index = dict(zip(elements, parent))
-    # by held position past B(max_n): the (generator, conjugate, length)
-    # triples, flattened, that it carries to its visit
-    carried: list = []
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    def union(i: int, j: int) -> None:
-        i, j = find(i), find(j)
-        parent[max(i, j)] = min(i, j)
-
-    def hold(i: int, y, d: int, home: int) -> Optional[int]:
-        """The position at which y, a conjugate of position i met outside the
-        index at length d <= outer, is held, or None if y is a leaf: no
-        conjugate of y but position i and y lies in B(outer). ``home`` is the
-        generator leading back to i. An indexed conjugate of y other than i
-        is not visited yet, since its visit would have met y, so it records
-        that edge; y carries only its unindexed conjugates in B(outer)."""
-        near, leaf = [], True
-        for h, conjugate in enumerate(conjugates):
-            if h != home:
-                z = conjugate(y)
-                if z is y:
+    conjugates = [group.conjugator(s) for s in group.generators]
+    class_of = dict.fromkeys(dist)
+    # least lengths of the classes meeting B(max_n), and of the inner
+    # classes, those of B(outer - 1), meeting it
+    mins: list[int] = []
+    smaller: list[int] = []
+    for x, n in dist.items():
+        if class_of[x] is not None:
+            continue
+        # by element met: its inner class, numbered from 0, or None on the
+        # outer sphere (at slack 0 a start there opens class 0 all the same,
+        # which no census reads); by inner class: its least length
+        label = {x: 0}
+        least = [n]
+        # inner conjugates still to visit; inner conjugates met from the
+        # rim; the outer sphere still to visit
+        stack = [x]
+        seeds: list = []
+        rim: list = []
+        beyond = 0  # elements met past B(max_n)
+        while True:
+            if stack:
+                u = stack.pop()
+            elif seeds:
+                u = seeds.pop()
+                if u in label:
                     continue
-                j = index.get(z)
-                if j is None:
-                    e = length(z)
-                    if e <= outer and z != y:
-                        near += h, z, e
-                elif j != i:
-                    leaf = False
-        if leaf and not near:
-            return None
-        if len(elements) >= limit:
-            raise BudgetExceededError(max_n, limit)
-        j = index[y] = len(elements)
-        elements.append(y)
-        lengths.append(d)
-        parent.append(j)
-        carried.append(near or ())
-        return j
-
-    # search from B(max_n) by every generator, holding the conjugates of
-    # length at most outer that are not leaves, and record each edge between
-    # held elements once, from its lower end: B(max_n) conjugates as it goes
-    # and skips conjugates indexed at or below its own position; a held
-    # element reads the conjugates it carries, all indexed after it. Edges
-    # with both ends shorter than outer are united now, the ones touching
-    # the outer sphere wait until the slack - 1 census.
-    late = []
-    for i in range(size):
-        x = elements[i]
-        for conjugate, home in zip(conjugates, back):
-            y = conjugate(x)
-            if y is x:
-                continue
-            j = index.get(y)
-            if j is None:
+                d = length(u)
+                label[u] = len(least)
+                least.append(d)
+                beyond += d > max_n
+            elif rim:
+                u = rim.pop()
+            else:
+                break
+            inner = label[u]
+            for conjugate in conjugates:
+                y = conjugate(u)
+                if y is u or y in label:
+                    continue
                 d = length(y)
-                if d > outer or (j := hold(i, y, d, home)) is None:
+                if d > outer:
                     continue
-            elif j <= i:
-                continue
-            if lengths[i] < outer and lengths[j] < outer:
-                union(i, j)
-            else:
-                late.append((i, j))
-    i = size
-    while i < len(elements):  # grows as elements are held
-        near, carried[i - size] = carried[i - size], None
-        for h, y, d in zip(*[iter(near)] * 3):
-            j = index.get(y)
-            if j is None:
-                if (j := hold(i, y, d, back[h])) is None:
+                if d == outer:
+                    label[y] = None
+                    rim.append(y)
+                elif inner is None:
+                    seeds.append(y)
                     continue
-            if lengths[i] < outer and lengths[j] < outer:
-                union(i, j)
-            else:
-                late.append((i, j))
-        i += 1
-    del index, elements, lengths, carried
-
-    def census() -> list[int]:
-        """Least lengths of the classes meeting B(max_n), ascending: they
-        are the roots among its first |B(max_n)| positions."""
-        return [d for i, d in enumerate(dist.values()) if parent[i] == i]
-
-    smaller = census() if slack >= 1 else None
-    for i, j in late:
-        union(i, j)
-    del late
-    mins = census()
-    stable = None if smaller is None else smaller == mins
-    # roots come in BFS order, so classes are numbered as B(max_n) first meets them
-    number: dict = {}
-    class_of = {x: number.setdefault(find(i), len(number)) for i, x in enumerate(dist)}
+                else:
+                    label[y] = inner
+                    stack.append(y)
+                    if d < least[inner]:
+                        least[inner] = d
+                beyond += d > max_n
+            if size + beyond > limit:
+                raise BudgetExceededError(max_n, limit)
+        # searches start in BFS order, so classes are numbered as B(max_n)
+        # first meets them, each at its least length
+        number = len(mins)
+        for y in label:
+            if y in class_of:
+                class_of[y] = number
+        mins.append(n)
+        smaller += [m for m in least if m <= max_n]
+    stable = None if slack == 0 else sorted(smaller) == mins
     sphere_classes = [0] * (max_n + 1)
     for m in mins:
         sphere_classes[m] += 1

@@ -29,8 +29,8 @@ seen: such words have the least length in their class, and two of them are
 conjugate exactly when moving letters that can reach the front to the end
 connects them. Sets of generators are bitmasks, so each scan costs one mask
 test per letter. The counter computes no class key: the split/non-split
-keys of ``conj_key`` back ``validate``, and the oracle's BFS and union-find
-closure check the counter by an independent route.
+keys of ``conj_key`` back ``validate``, and the oracle's BFS and
+conjugation closure check the counter by an independent route.
 """
 
 from __future__ import annotations
@@ -170,11 +170,10 @@ def _vertices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _components(vertices: int, neighbours: Sequence[int]) -> list[int]:
+def _components(vertices: int, neighbours: Sequence[int]) -> Iterator[int]:
     """Connected components of the graph on the vertex bitmask ``vertices``
-    whose vertex u is joined to the vertices in bitmask neighbours[u]; the
-    components come back as bitmasks."""
-    comps = []
+    whose vertex u is joined to the vertices in bitmask neighbours[u], as
+    bitmasks, one at a time, the one holding the least vertex first."""
     while vertices:
         comp = frontier = vertices & -vertices
         while frontier:
@@ -183,9 +182,8 @@ def _components(vertices: int, neighbours: Sequence[int]) -> list[int]:
                 reach |= neighbours[u]
             frontier = reach & vertices & ~comp
             comp |= frontier
-        comps.append(comp)
+        yield comp
         vertices &= ~comp
-    return comps
 
 
 class Raag:
@@ -209,25 +207,35 @@ class Raag:
         """Split a vertex set into the components of its induced subgraph
         (a union) or, failing that, of the complement (a join), and recurse;
         a set of two or more vertices that splits neither way is not a
-        cograph, and then the graph has no cotree (None)."""
+        cograph, and then the graph has no cotree (None). Parts come one at
+        a time, and a one-vertex part is a leaf at once, so no more than the
+        parts still to split are held."""
         adjacent = tuple(sum(1 << j for j in adj) for adj in self.adjacent)
+        leaf = (None, ())
         nodes: list = [None]
         todo = [(0, (1 << self.k) - 1)]
         while todo:
             at, vertices = todo.pop()
-            if not vertices & (vertices - 1):
-                nodes[at] = (None, ())
+            if not vertices & (vertices - 1):  # at most one vertex
+                nodes[at] = leaf
                 continue
             parts = _components(vertices, adjacent)
-            join = len(parts) == 1
+            first = next(parts)
+            join = first == vertices
             if join:
                 parts = _components(vertices, self._blocks)
-                if len(parts) == 1:
+                first = next(parts)
+                if first == vertices:
                     return None
-            children = tuple(range(len(nodes), len(nodes) + len(parts)))
-            nodes += [None] * len(parts)
-            todo += zip(children, parts)
-            nodes[at] = (join, children)
+            children = []
+            for part in chain((first,), parts):
+                children.append(len(nodes))
+                if part & (part - 1):
+                    todo.append((len(nodes), part))
+                    nodes.append(None)
+                else:
+                    nodes.append(leaf)
+            nodes[at] = (join, tuple(children))
         return tuple(nodes)
 
     # elements: shortlex normal forms
@@ -331,7 +339,7 @@ class Raag:
             return ("id",)
         supp = frozenset(c >> 1 for c in word)
         # components of the support's non-commutation graph
-        comps = _components(sum(1 << g for g in supp), self._blocks)
+        comps = list(_components(sum(1 << g for g in supp), self._blocks))
         if len(comps) >= 2:
             blocks = [
                 self._key_of_reduced(tuple(c for c in word if comp >> (c >> 1) & 1))

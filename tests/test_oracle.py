@@ -101,10 +101,14 @@ def reference_closure(group, max_n, slack):
 
 
 class SymmetricGroup4:
-    """S4 on tuples, generated by the adjacent transpositions (involutions)."""
+    """S4 on tuples, generated by the given permutations and their inverses,
+    by default the adjacent transpositions."""
 
     identity = (0, 1, 2, 3)
-    generators = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+    def __init__(self, generators=((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))):
+        gens = list(generators)
+        self.generators = tuple(dict.fromkeys(gens + [self.invert(g) for g in gens]))
 
     def multiply(self, x, y):
         return tuple(x[i] for i in y)
@@ -116,8 +120,8 @@ class SymmetricGroup4:
         return tuple(out)
 
     def conjugator(self, s):
-        # each generator is an involution: s^-1 x s = s x s
-        return lambda x: self.multiply(self.multiply(s, x), s)
+        s_inv = self.invert(s)
+        return lambda x: self.multiply(self.multiply(s_inv, x), s)
 
 
 class TestAdapters:
@@ -243,6 +247,10 @@ REFERENCE_BALLS = [
     (RaagGroup(raag.Raag(raag.path_graph(4))), 2, "raag-p4"),
     (with_generators(FreeGroup(2), map(free_word, [(0,), (2,), (0, 2)])), 2, "free2-view"),
     (SymmetricGroup4(), 2, "s4"),
+    # a 3-cycle and a double transposition: at slack 2 one class holds a
+    # class of B(2) that misses B(1) and meets the rest of its class only
+    # across the outer sphere, which the slack - 1 census must leave out
+    (SymmetricGroup4([(1, 2, 0, 3), (3, 2, 1, 0)]), 1, "s4-cycle"),
 ]
 
 
@@ -290,10 +298,9 @@ class TestConjugacyClasses:
     @pytest.mark.parametrize("group,max_n,slack", [
         *(pytest.param(group, max_n, slack, id=f"{slack}-{name}")
           for group, max_n, name in REFERENCE_BALLS for slack in (0, 1, 2, 3)),
-        # the search holds non-leaf conjugates, with loops and late edges on
-        # the outer sphere, next to the leaves it drops: of the padded
-        # conjugates met, 752 of 1,056 are leaves on C4, 48 of 224 on the
-        # lamplighter and 64 of 392 on Heisenberg
+        # the searches cross wide outer spheres: of the elements they meet,
+        # 400 of 1,273 lie on the outer sphere on C4, 70 of 268 on the
+        # lamplighter and 72 of 527 on Heisenberg
         pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 3, 3, id="3-raag-c4"),
         pytest.param(Lamplighter(), 4, 5, id="5-lamplighter"),
         pytest.param(Heisenberg(), 4, 5, id="5-heisenberg"),
@@ -332,16 +339,14 @@ class TestConjugacyClasses:
         assert radii == [5 if padded else 3]
 
     def test_search_conjugates_only_the_classes_meeting_the_ball(self, monkeypatch):
-        # the search touches B(6) and the conjugates it meets: from B(8)
-        # 4,369 of 13,121 elements, from B(12) 39,313 of 1,062,881. B(6)
-        # conjugates by all 2k generators; a met conjugate by the 2k - 1 that
-        # do not lead back, once, whether it is held or dropped as a leaf.
-        # It holds B(6) and the met conjugates that are not leaves: 1,457
-        # (every met one is a leaf) and 13,105 elements.
+        # the searches touch the classes meeting B(6): from B(8) 4,369 of
+        # 13,121 elements, from B(12) 39,313 of 1,062,881, and conjugate
+        # each by all 2k generators once. They hold B(6), 1,457 elements,
+        # and one class's elements met past it at a time: at most 36 (of
+        # the class's 54 met) and 468 (of 486).
         group = FreeGroup(2)
         two_k = len(group.generators)
-        ball = 1457
-        for slack, touched, held in ((2, 4369, 1457), (6, 39313, 13105)):
+        for slack, touched, held in ((2, 4369, 1493), (6, 39313, 1925)):
             seen, calls = set(), 0
 
             def counted(s):
@@ -355,15 +360,14 @@ class TestConjugacyClasses:
                 return call
 
             table = conjugacy_classes(group._replace(conjugator=counted), 6, slack=slack)
-            assert len(seen) <= touched
-            assert calls == two_k * ball + (two_k - 1) * (len(seen) - ball)
+            assert len(seen) == touched
+            assert calls == two_k * len(seen)
             assert table == conjugacy_classes(group, 6, slack=slack)
             monkeypatch.setenv("CONJRATIO_BUDGET", str(held))
             assert conjugacy_classes(group, 6, slack=slack) == table
-            if held > ball:
-                monkeypatch.setenv("CONJRATIO_BUDGET", str(held - 1))
-                with pytest.raises(BudgetExceededError):
-                    conjugacy_classes(group, 6, slack=slack)
+            monkeypatch.setenv("CONJRATIO_BUDGET", str(held - 1))
+            with pytest.raises(BudgetExceededError):
+                conjugacy_classes(group, 6, slack=slack)
             monkeypatch.delenv("CONJRATIO_BUDGET")
 
     def test_search_holds_at_most_the_budget(self, monkeypatch):
@@ -373,14 +377,13 @@ class TestConjugacyClasses:
             conjugacy_classes(FreeGroup(2), 4, slack=20)
 
     @pytest.mark.parametrize("group,max_n,slack,held", [
-        # B(3) = 217 and 1,056 - 752 met conjugates that are not leaves; a
-        # conjugate equal to the one met is a loop, not a second neighbour
-        pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 3, 3, 521, id="raag-c4"),
-        # B(4) = 44 and 224 - 48
-        pytest.param(Lamplighter(), 4, 5, 220, id="lamplighter"),
+        # B(3) = 217 and a class of 21 elements met, 20 past B(3) and 16 of
+        # those on the outer sphere
+        pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 3, 3, 237, id="raag-c4"),
+        # B(4) = 44 and a class of 31 met, 28 past B(4), 17 on the outer sphere
+        pytest.param(Lamplighter(), 4, 5, 72, id="lamplighter"),
     ])
-    def test_search_holds_the_ball_and_the_conjugates_that_are_not_leaves(
-            self, monkeypatch, group, max_n, slack, held):
+    def test_search_holds_the_ball_and_one_class(self, monkeypatch, group, max_n, slack, held):
         table = conjugacy_classes(group, max_n, slack=slack)
         monkeypatch.setenv("CONJRATIO_BUDGET", str(held))
         assert conjugacy_classes(group, max_n, slack=slack) == table
@@ -388,16 +391,36 @@ class TestConjugacyClasses:
         with pytest.raises(BudgetExceededError):
             conjugacy_classes(group, max_n, slack=slack)
 
-    def test_search_drops_the_leaves_of_the_padding(self):
-        # every conjugate met past B(8) in B(10) is a leaf: the search holds
-        # B(8), 13,121 elements, not the 39,361 it meets
+    @pytest.mark.parametrize("group,max_n,slack", [
+        # B(20) = 41 = B(16) + 8; a reflection class meets 8 elements of
+        # B(16) and 2 past it
+        pytest.param(DihedralInfinite(), 16, 4, id="dihedral"),
+        # B(4) = 129, and each element is its own class
+        pytest.param(FreeAbelian(3), 4, 0, id="z3-slack0"),
+        pytest.param(FreeGroup(2), 6, 2, id="free2"),
+    ])
+    def test_a_budget_holding_the_padded_ball_holds_the_search(self, monkeypatch, group,
+                                                               max_n, slack):
+        # the CLI charges B(max_n + slack) before the search, so the search
+        # counts a class's elements in B(max_n) once, with the ball
+        padded = sum(ball_enumerate(group, max_n + slack)[1])
+        monkeypatch.setenv("CONJRATIO_BUDGET", str(padded))
+        assert conjugacy_classes(group, max_n, slack=slack).radius == max_n
+
+    @pytest.mark.parametrize("max_n,slack,bound_mb", [
+        # meets 39,313 elements, holds B(6), 1,457, and at most 468 more
+        pytest.param(6, 6, 1, id="free2-n6-slack6"),
+        # meets 39,361 elements, holds B(8), 13,121, and at most 108 more
+        pytest.param(8, 2, 2, id="free2-n8-slack2"),
+    ])
+    def test_search_memory_stays_near_the_ball(self, max_n, slack, bound_mb):
         tracemalloc.start()
         try:
-            conjugacy_classes(FreeGroup(2), 8, slack=2)
+            conjugacy_classes(FreeGroup(2), max_n, slack=slack)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2 ** 20
+        assert peak < bound_mb * 2 ** 20
 
     @pytest.mark.parametrize("group", [
         pytest.param(FreeGroup(2), id="free2"),

@@ -318,6 +318,20 @@ class TestNormalForm:
         assert r.word(parse_word("aAbc")) == parse_word("bc")
         assert r.word(parse_word("cb")) == parse_word("cb")
 
+    def test_large_edgeless_graph_splits_without_holding_its_parts(self):
+        # the cotree's first split yields 20,000 one-vertex parts, each a
+        # leaf at once; holding them all as masks as wide as their vertex
+        # index would peak at about 37 MB here
+        graph = GraphSpec(tuple(f"v{i}" for i in range(20000)), frozenset())
+        tracemalloc.start()
+        try:
+            r = Raag(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2 ** 20
+        assert r.cotree[0] == (False, tuple(range(1, 20001)))
+
     def test_triangle_closure_agreement(self):
         r = Raag(TRIANGLE)
         for n in range(5):
