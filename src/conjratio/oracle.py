@@ -5,38 +5,34 @@ Any object with ``identity``, ``generators`` (closed under inversion),
 ``Group`` (a NamedTuple), can be ball-enumerated by BFS; one that also has a
 ``conjugator``, mapping each generator s to x -> s^-1 x s, can be
 conjugacy-classified by conjugation closure.
-The closure runs one search per class meeting B(N). It takes B(N) in BFS
-order, and an element that no earlier search met starts one: the search
-follows conjugation by every generator and admits a conjugate when its word
-length is at most N + slack, so it meets its class in B(N + slack) without
-enumerating that ball, and its start is the class's first element of B(N)
-in BFS order, a shortest one. A search holds B(N) and its own class only.
-It maps each element met to its inner class, its class in B(N + slack - 1),
-or to None on the outer sphere. An inner conjugate takes the inner class of
-the element that met it and goes on the stack. An element of the outer
-sphere waits on the rim, which is visited only when the stack is empty, so
-each inner class is finished before the search crosses the outer sphere; an
-inner conjugate met from the rim seeds a new inner class if it has none by
-the time it is visited. Every element met is conjugated by each generator
-once. The census counts one class per search, at its start's length, and
-the slack - 1 census counts the inner classes whose least length is at most
-N: an inner class that misses B(N) may still meet the rest of its class
-across the outer sphere. A class no search meets misses B(N), so leaving it
-out changes neither census. The element budget bounds B(N) and the elements
-met past it in the current class, so a budget that holds B(N + slack) holds
-the search. A group with ``length`` (every constructor here but
-``Heisenberg``) reads a word length off the element, so only B(N) is
-enumerated; one without it (``Heisenberg``, ``with_generators`` views,
-duck-typed groups) looks it up in a BFS of the padded ball. Each
-constructor's ``conjugator`` gives s^-1 u s in one step for its own
-generators; only a group under another generating set (``with_generators``)
-takes two products. The closure is exact where a conjugator-length argument
+The closure runs one search per inverse pair of classes meeting B(N). It
+takes B(N) in BFS order; an element no earlier search met starts one, a
+shortest element of its class. The search conjugates by the generators and
+admits conjugates of word length at most N + slack, so it meets its class
+in B(N + slack) without enumerating that ball, and it holds B(N) and its
+own class only. It maps each element met to its inner class, its class in
+B(N + slack - 1), or to None on the outer sphere. Inner conjugates take the
+inner class of the element that met them and go on the stack; the outer
+sphere waits on the rim, visited only when the stack is empty, and an inner
+conjugate met from the rim seeds a new inner class if it has none when
+visited. A start is conjugated by every generator, any other element met by
+all but the inverse of the one that met it, which gives that element back.
+Inversion keeps word length and maps s^-1 u s to s^-1 u^-1 s, so a search
+that does not meet x^-1 fills x^-1's class too; at the end the classes are
+numbered as B(N) first meets them. The census counts each class at its
+least length; the slack - 1 census counts the inner classes whose least
+length is at most N, since one that misses B(N) may meet the rest of its
+class across the outer sphere. A class no search meets misses B(N) and
+counts in neither. The element budget bounds B(N) and the elements met past
+it in the current class, so a budget that holds B(N + slack) holds the
+search. A group with ``length`` (every constructor here but ``Heisenberg``)
+reads word lengths off its elements; one without it looks them up in a BFS
+of the padded ball. The closure is exact where a conjugator-length argument
 exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
 B(N)) and elsewhere it is reported together with a stability flag comparing
-against slack - 1. Generating-set comparison needs no closure: it counts
-each side's classes by an exact conjugacy key over that side's ball. It is
-the tests' route: ``conjratio compare`` counts both sets by formula, and
-the tests pin each formula against this BFS and key count.
+against slack - 1. Generating-set comparison counts each side's classes by
+an exact conjugacy key over its ball; it is the tests' route, since
+``conjratio compare`` counts by formula.
 
 Also hosts the two coordinate groups used as worked examples: the
 infinite dihedral group (normal forms: alternating words in two
@@ -49,7 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceededError, default_budget
@@ -319,13 +315,16 @@ class ConjugacyTable(NamedTuple):
 
 
 def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> ConjugacyTable:
-    """One search per class meeting B(max_n), inside B(max_n + slack);
-    classes counted by the smallest radius they meet. Lengths come from
-    ``group.length``, or from a BFS of B(max_n + slack) for a group without
-    one. The search holds at most the element budget: B(max_n) and the
-    elements met past it in the current class, all in B(max_n + slack).
-    ``stable`` reports whether shrinking the padding by one changes any
-    count (None when slack = 0)."""
+    """One search per inverse pair of classes meeting B(max_n), inside
+    B(max_n + slack); classes counted by the smallest radius they meet.
+    Lengths come from ``group.length``, or from a BFS of B(max_n + slack)
+    for a group without one. A start is conjugated by every generator, any
+    other element met by all but the inverse of the one that met it; a
+    search that does not meet its start's inverse fills that class too. The
+    search holds at most the element budget: B(max_n) and the elements met
+    past it in the current class, all in B(max_n + slack). ``stable``
+    reports whether shrinking the padding by one changes any count (None
+    when slack = 0)."""
     if slack is None:
         slack = max_n
     if slack < 0:
@@ -338,7 +337,10 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         padded, dist = dist, dict(islice(dist.items(), size))
         length = lambda y: padded.get(y, outer + 1)  # noqa: E731
     limit = default_budget()
-    conjugates = [group.conjugator(s) for s in group.generators]
+    invert = group.invert
+    # each generator's conjugator, and its inverse's, which leads back
+    conjugator = {s: group.conjugator(s) for s in group.generators}
+    steps = [(conjugator[s], conjugator[invert(s)]) for s in group.generators]
     class_of = dict.fromkeys(dist)
     # least lengths of the classes meeting B(max_n), and of the inner
     # classes, those of B(outer - 1), meeting it
@@ -352,17 +354,17 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
         # which no census reads); by inner class: its least length
         label = {x: 0}
         least = [n]
-        # inner conjugates still to visit; inner conjugates met from the
-        # rim; the outer sphere still to visit
-        stack = [x]
+        # to visit: inner conjugates, inner ones met from the rim, the outer
+        # sphere; each with the conjugator back to the element that met it
+        stack = [(x, None)]
         seeds: list = []
         rim: list = []
         beyond = 0  # elements met past B(max_n)
         while True:
             if stack:
-                u = stack.pop()
+                u, skip = stack.pop()
             elif seeds:
-                u = seeds.pop()
+                u, skip = seeds.pop()
                 if u in label:
                     continue
                 d = length(u)
@@ -370,11 +372,13 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
                 least.append(d)
                 beyond += d > max_n
             elif rim:
-                u = rim.pop()
+                u, skip = rim.pop()
             else:
                 break
             inner = label[u]
-            for conjugate in conjugates:
+            for conjugate, back in steps:
+                if conjugate is skip:
+                    continue
                 y = conjugate(u)
                 if y is u or y in label:
                     continue
@@ -383,26 +387,35 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
                     continue
                 if d == outer:
                     label[y] = None
-                    rim.append(y)
+                    rim.append((y, back))
                 elif inner is None:
-                    seeds.append(y)
+                    seeds.append((y, back))
                     continue
                 else:
                     label[y] = inner
-                    stack.append(y)
+                    stack.append((y, back))
                     if d < least[inner]:
                         least[inner] = d
                 beyond += d > max_n
             if size + beyond > limit:
                 raise BudgetExceededError(max_n, limit)
-        # searches start in BFS order, so classes are numbered as B(max_n)
-        # first meets them, each at its least length
-        number = len(mins)
+        # a class without x^-1 fills its inverse class, its twin, unsearched
+        number, inverse = len(mins), invert(x)
+        twin = None if inverse in label else number + 1
         for y in label:
             if y in class_of:
                 class_of[y] = number
-        mins.append(n)
-        smaller += [m for m in least if m <= max_n]
+                if twin is not None:
+                    class_of[inverse if y is x else invert(y)] = twin
+        pair = 1 if twin is None else 2
+        mins += [n] * pair
+        smaller += [m for m in least if m <= max_n] * pair
+    # number the classes as B(max_n) first meets them in BFS order
+    numbers, first = [None] * len(mins), count()
+    for y, c in class_of.items():
+        if numbers[c] is None:
+            numbers[c] = next(first)
+        class_of[y] = numbers[c]
     stable = None if slack == 0 else sorted(smaller) == mins
     sphere_classes = [0] * (max_n + 1)
     for m in mins:

@@ -1,6 +1,7 @@
 """Brute-force Cayley-graph oracle: BFS, conjugation closure, comparisons."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -98,6 +99,22 @@ def reference_closure(group, max_n, slack):
         class_of=class_of,
         dist=dist,
     )
+
+
+def logged_conjugations(group):
+    """The group with conjugators that log each call as (s, u, s^-1 u s),
+    and the log."""
+    calls = []
+
+    def conjugator(s):
+        conjugate = group.conjugator(s)
+
+        def call(u):
+            y = conjugate(u)
+            calls.append((s, u, y))
+            return y
+        return call
+    return group._replace(conjugator=conjugator), calls
 
 
 class SymmetricGroup4:
@@ -304,6 +321,10 @@ class TestConjugacyClasses:
         pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(4))), 3, 3, id="3-raag-c4"),
         pytest.param(Lamplighter(), 4, 5, id="5-lamplighter"),
         pytest.param(Heisenberg(), 4, 5, id="5-heisenberg"),
+        # a non-cograph, whose classes are not all self-inverse, and a
+        # group whose every class but the identity's fills its inverse
+        pytest.param(RaagGroup(raag.Raag(raag.cycle_graph(5))), 3, 2, id="2-raag-c5"),
+        pytest.param(FreeAbelian(3), 3, 2, id="2-z3"),
     ])
     def test_matches_reference_closure(self, group, max_n, slack):
         table = conjugacy_classes(group, max_n, slack=slack)
@@ -339,29 +360,22 @@ class TestConjugacyClasses:
         assert radii == [5 if padded else 3]
 
     def test_search_conjugates_only_the_classes_meeting_the_ball(self, monkeypatch):
-        # the searches touch the classes meeting B(6): from B(8) 4,369 of
-        # 13,121 elements, from B(12) 39,313 of 1,062,881, and conjugate
-        # each by all 2k generators once. They hold B(6), 1,457 elements,
-        # and one class's elements met past it at a time: at most 36 (of
-        # the class's 54 met) and 468 (of 486).
+        # the searches touch one class of each inverse pair meeting B(6):
+        # from B(8) 2,185 of 13,121 elements, from B(12) 19,657 of 1,062,881.
+        # Each of the 118 starts is conjugated by all 2k generators, every
+        # other element met by all but one. They hold B(6), 1,457 elements,
+        # and one class's elements met past it at a time: at most 36 (of the
+        # class's 54 met) and 468 (of 486); a class and its inverse are
+        # equally large, so filling the inverse holds no more.
         group = FreeGroup(2)
         two_k = len(group.generators)
-        for slack, touched, held in ((2, 4369, 1493), (6, 39313, 1925)):
-            seen, calls = set(), 0
-
-            def counted(s):
-                conjugate = group.conjugator(s)
-
-                def call(x):
-                    nonlocal calls
-                    calls += 1
-                    seen.add(x)
-                    return conjugate(x)
-                return call
-
-            table = conjugacy_classes(group._replace(conjugator=counted), 6, slack=slack)
+        for slack, touched, conjugations, held in ((2, 2185, 6673, 1493),
+                                                   (6, 19657, 59089, 1925)):
+            logged, calls = logged_conjugations(group)
+            table = conjugacy_classes(logged, 6, slack=slack)
+            seen = {u for _, u, _ in calls}
             assert len(seen) == touched
-            assert calls == two_k * len(seen)
+            assert len(calls) == conjugations == (two_k - 1) * len(seen) + 118
             assert table == conjugacy_classes(group, 6, slack=slack)
             monkeypatch.setenv("CONJRATIO_BUDGET", str(held))
             assert conjugacy_classes(group, 6, slack=slack) == table
@@ -369,6 +383,50 @@ class TestConjugacyClasses:
             with pytest.raises(BudgetExceededError):
                 conjugacy_classes(group, 6, slack=slack)
             monkeypatch.delenv("CONJRATIO_BUDGET")
+
+    @pytest.mark.parametrize("group,max_n,slack", [
+        pytest.param(FreeGroup(2), 6, 2, id="free2"),
+        pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), 4, 3, id="raag-p3"),
+        pytest.param(Lamplighter(), 4, 5, id="lamplighter"),
+        pytest.param(Heisenberg(), 4, 5, id="heisenberg"),
+    ])
+    def test_no_conjugation_returns_the_element_that_met_it(self, group, max_n, slack):
+        # y = s^-1 u s, first met from u, is never conjugated by s^-1, which
+        # only gives u back; a start is conjugated by every generator
+        logged, calls = logged_conjugations(group)
+        table = conjugacy_classes(logged, max_n, slack=slack)
+        assert table == conjugacy_classes(group, max_n, slack=slack)
+        met_by, times, starts = {}, Counter(), set()
+        for s, u, y in calls:
+            assert met_by.get(u) != (group.invert(s), y)
+            if u not in times and u not in met_by:
+                starts.add(u)
+            times[u] += 1
+            if y != u:
+                met_by.setdefault(y, (s, u))
+        two_k = len(group.generators)
+        assert all(n == two_k - (u not in starts) for u, n in times.items())
+
+    @pytest.mark.parametrize("group,max_n,slack,searches,classes", [
+        # the identity, and one search for each of 117 inverse pairs
+        pytest.param(FreeGroup(2), 6, 2, 118, 235, id="free2"),
+        # every class is its own inverse: x^-1 = x, or x = (ab)^k meets
+        # (ab)^-k = a (ab)^k a
+        pytest.param(DihedralInfinite(), 8, 4, 7, 7, id="dihedral"),
+    ])
+    def test_one_search_per_inverse_pair(self, group, max_n, slack, searches, classes):
+        logged, calls = logged_conjugations(group)
+        table = conjugacy_classes(logged, max_n, slack=slack)
+        met, starts = set(), []
+        for _, u, y in calls:
+            if u not in met:
+                starts.append(u)
+            met |= {u, y}
+        assert len(starts) == searches
+        # every class is a searched one or the inverse of one
+        found = {table.class_of[x] for x in starts}
+        found |= {table.class_of[group.invert(x)] for x in starts}
+        assert found == set(table.class_of.values()) == set(range(classes))
 
     def test_search_holds_at_most_the_budget(self, monkeypatch):
         # B(4) = 161 fits; the conjugates of length at most 24 do not
