@@ -14,14 +14,14 @@ __version__ = "0.1.0"
 _HOMES = {
     "BudgetExceededError": "errors",
     "default_budget": "errors",
-    "VanishingReport": "sequences",
     "WindowEstimate": "sequences",
-    "check_ratio_vanishes": "sequences",
     "convolve": "sequences",
     "decimal_str": "sequences",
     "ratio": "sequences",
-    "stolz_cesaro": "sequences",
     "window_estimate": "sequences",
+    "VanishingReport": "vanishing",
+    "check_ratio_vanishes": "vanishing",
+    "stolz_cesaro": "vanishing",
     "ClosureHypothesisError": "words",
     "cycrep_counts": "words",
     "least_rotation": "words",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cached_property
 from importlib import import_module
 from itertools import accumulate, islice
@@ -133,8 +132,8 @@ def _growth_columns(data: GrowthData) -> dict[str, list]:
         "sphere": data.sphere,
         "conj_ball": conj_ball,
         "conj_sphere": data.conj_sphere,
-        "ratio": [decimal_str(Fraction(c, b)) for c, b in zip(conj_ball, ball)],
-        "n_sph_ratio": [decimal_str(Fraction(n * c, s))
+        "ratio": [decimal_str(c, denominator=b) for c, b in zip(conj_ball, ball)],
+        "n_sph_ratio": [decimal_str(n * c, denominator=s)
                         for n, c, s in zip(n_col, data.conj_sphere, data.sphere)],
     }
 
@@ -190,10 +189,6 @@ def _compare_free(cfg: RunConfig):
             lambda n: free_group.extended_conjugacy_sphere_counts(cfg.rank, n))
 
 
-def _ratios(spheres: list[int], classes: list[int]) -> tuple[Fraction, ...]:
-    return ratio(list(accumulate(classes)), list(accumulate(spheres)))
-
-
 def run_compare(cfg: RunConfig) -> str:
     family = FAMILIES[cfg.family]
     if family.compare is None:
@@ -209,17 +204,20 @@ def run_compare(cfg: RunConfig) -> str:
     except BudgetExceededError as exc:
         exc.args = (f"second generating set: {exc}",)
         raise
-    ratios_x = _ratios(spheres_x, family.classes(cfg, cfg.max_n))
-    ratios_y = _ratios(spheres_y, classes_y(cfg.max_n))
+    # (class balls, balls) per set: every cell is rounded from integers
+    x = list(accumulate(family.classes(cfg, cfg.max_n))), list(accumulate(spheres_x))
+    y = list(accumulate(classes_y(cfg.max_n))), list(accumulate(spheres_y))
     columns = {
         "n": list(range(cfg.max_n + 1)),
-        "ratio_x": [decimal_str(r) for r in ratios_x],
-        "ratio_y": [decimal_str(r) for r in ratios_y],
-        "abs_diff": [decimal_str(abs(x - y)) for x, y in zip(ratios_x, ratios_y)],
+        "ratio_x": [decimal_str(c, denominator=b) for c, b in zip(*x)],
+        "ratio_y": [decimal_str(c, denominator=b) for c, b in zip(*y)],
+        # |cx/bx - cy/by| over the common denominator bx by
+        "abs_diff": [decimal_str(abs(cx * by - cy * bx), denominator=bx * by)
+                     for cx, bx, cy, by in zip(*x, *y)],
     }
     if cfg.fmt == "csv":
         return _csv_table(COMPARE_HEADER, columns)
-    peak_x, peak_y = (window_estimate(r, cfg.window).peak for r in (ratios_x, ratios_y))
+    peak_x, peak_y = (window_estimate(ratio(*pair), cfg.window).peak for pair in (x, y))
     estimates = {
         "peak_x": decimal_str(peak_x),
         "peak_y": decimal_str(peak_y),
@@ -331,18 +329,18 @@ def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
 
 
 def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    from . import oracle
+    from . import coordinate_groups
 
     return _suite(cfg, 16, 4, ("dihedral-inf: ball size 2n+1",
                                "dihedral-inf: class count 3 + n//2 from n=2"),
-                  oracle.dihedral_conjugacy_key)[1]
+                  coordinate_groups.dihedral_conjugacy_key)[1]
 
 
 def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    from . import oracle
+    from . import coordinate_groups
 
     # no formula rows: perfbench/expected.json pins this suite's output
-    return _suite(cfg, 6, None, key=oracle.heisenberg_conjugacy_key)[1]
+    return _suite(cfg, 6, None, key=coordinate_groups.heisenberg_conjugacy_key)[1]
 
 
 class Family(NamedTuple):
@@ -379,13 +377,16 @@ FAMILIES = {
     "lamplighter": Family(_validate_lamplighter, lambda cfg: _module("lamplighter").SERIES,
                           lambda cfg, n: _module("lamplighter").conjugacy_counts(n)[0],
                           lambda cfg: _module("oracle").Lamplighter()),
-    "dihedral-inf": Family(_validate_dihedral, lambda cfg: _module("oracle").DIHEDRAL_SERIES,
-                           lambda cfg, n: _module("oracle").dihedral_class_spheres(n),
+    "dihedral-inf": Family(_validate_dihedral,
+                           lambda cfg: _module("coordinate_groups").DIHEDRAL_SERIES,
+                           lambda cfg, n: _module("coordinate_groups").dihedral_class_spheres(n),
                            lambda cfg: _module("oracle").DihedralInfinite(),
-                           compare=lambda cfg: (_module("oracle").DIHEDRAL_Y_SERIES,
-                                                _module("oracle").dihedral_y_class_spheres)),
-    "heisenberg": Family(_validate_heisenberg, lambda cfg: _module("oracle").HEISENBERG_SERIES,
-                         lambda cfg, n: _module("oracle").heisenberg_class_spheres(n),
+                           compare=lambda cfg: (
+                               _module("coordinate_groups").DIHEDRAL_Y_SERIES,
+                               _module("coordinate_groups").dihedral_y_class_spheres)),
+    "heisenberg": Family(_validate_heisenberg,
+                         lambda cfg: _module("coordinate_groups").HEISENBERG_SERIES,
+                         lambda cfg, n: _module("coordinate_groups").heisenberg_class_spheres(n),
                          lambda cfg: _module("oracle").Heisenberg()),
 }
 

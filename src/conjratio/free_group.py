@@ -49,8 +49,19 @@ def multiply(x: Word, y: Word) -> Word:
     return x[:len(x) - k] + y[k:]
 
 
+class _Swap(dict):
+    """Code point c -> c ^ 1 (a letter to its inverse), stored on first use."""
+
+    def __missing__(self, c: int) -> int:
+        self[c] = c ^ 1
+        return c ^ 1
+
+
+_SWAP = _Swap()
+
+
 def invert(word: Word) -> Word:
-    return word.translate({c: c ^ 1 for c in map(ord, word)})[::-1]
+    return word.translate(_SWAP)[::-1]
 
 
 def is_reduced(word: Word) -> bool:

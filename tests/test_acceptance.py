@@ -20,15 +20,10 @@ import math
 import time
 from fractions import Fraction
 
-from conjratio import cli, free_group, lamplighter, oracle, raag
+from conjratio import cli, coordinate_groups, free_group, lamplighter, oracle, raag
 from conjratio.raag import graph_from_text
-from conjratio.sequences import (
-    MODE_GEOMETRIC,
-    check_ratio_vanishes,
-    convolve,
-    stolz_cesaro,
-    window_estimate,
-)
+from conjratio.sequences import convolve, window_estimate
+from conjratio.vanishing import MODE_GEOMETRIC, check_ratio_vanishes, stolz_cesaro
 from conjratio.words import cycrep_counts, primitive_counts
 
 GRAPH_TEXTS = {
@@ -254,7 +249,7 @@ def test_criterion_6_infinite_dihedral():
     group = oracle.DihedralInfinite()
     report = oracle.generating_set_comparison(
         group, [(0,), (1,)], [(0,), (0, 1)], 40,
-        window=5, key=oracle.dihedral_conjugacy_key)
+        window=5, key=coordinate_groups.dihedral_conjugacy_key)
     peak = report.estimate_x.peak
     peak_ok = Fraction(1, 4) <= peak <= Fraction(3, 10)
     diff_ok = report.peak_difference < Fraction(1, 20)
@@ -279,7 +274,7 @@ def test_criterion_7_heisenberg():
     }
     flat_ok = all(0.95 <= r <= 1.05 for r in root_ratios.values())
     _, conj_balls = oracle.key_class_counts(
-        dist, oracle.heisenberg_conjugacy_key, 12)
+        dist, coordinate_groups.heisenberg_conjugacy_key, 12)
     ratios = [Fraction(c, b) for c, b in zip(conj_balls, balls)]
     decreasing_ok = all(ratios[n] > ratios[n + 1] for n in range(4, 12))
     elapsed = time.perf_counter() - started

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conjratio import cli, free_group, lamplighter, oracle, raag
+from conjratio import cli, coordinate_groups, free_group, lamplighter, oracle, raag
 from conjratio.cli import RunConfig
 from conjratio.sequences import convolve, decimal_str
 
@@ -784,7 +784,7 @@ class TestValidate:
 
     def test_key_partition_check_rejects_coarser_and_finer_keys(self):
         table = oracle.conjugacy_classes(oracle.DihedralInfinite(), 4, slack=4)
-        assert cli._partitions_agree(oracle.dihedral_conjugacy_key, table.class_of)
+        assert cli._partitions_agree(coordinate_groups.dihedral_conjugacy_key, table.class_of)
         assert not cli._partitions_agree(lambda x: 0, table.class_of)  # merges classes
         assert not cli._partitions_agree(lambda x: x, table.class_of)  # splits classes
 

@@ -90,6 +90,15 @@ class TestGroupLaws:
         # x y and y x are conjugate
         assert fg.conj_key(fg.multiply(w, z)) == fg.conj_key(fg.multiply(z, w))
 
+    def test_swap_table_matches_a_table_built_per_word(self):
+        def per_word(word):  # the table built afresh for each word
+            return word.translate({c: c ^ 1 for c in map(ord, word)})[::-1]
+
+        past_rank_1000 = [free_word(range(2000, 2000 + n, 3)) for n in range(1, 40)]
+        past_rank_1000.append(free_word((2 * fg.MAX_RANK - 2, 2001, 2 * fg.MAX_RANK - 1)))
+        for w in ball_words(2, 6) + past_rank_1000:
+            assert fg.invert(w) == per_word(w)
+
     def test_rank_cap(self):
         assert oracle.FreeGroup(3).generators == tuple(map(free_word, ((0,), (1,), (2,),
                                                                         (3,), (4,), (5,))))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conjratio import free_group as fg
 from conjratio import lamplighter as ll
 from conjratio import cli, oracle, raag
+from conjratio import coordinate_groups as cg
 from conjratio.cli import RunConfig
 from conjratio.errors import BudgetExceededError
 from conjratio.oracle import (
@@ -25,12 +26,11 @@ from conjratio.oracle import (
     RaagGroup,
     ball_enumerate,
     conjugacy_classes,
-    dihedral_conjugacy_key,
     generating_set_comparison,
-    heisenberg_conjugacy_key,
     key_class_counts,
     with_generators,
 )
+from conjratio.coordinate_groups import dihedral_conjugacy_key, heisenberg_conjugacy_key
 from conjratio.sequences import iter_series
 
 
@@ -647,20 +647,20 @@ class TestClosedForms:
     def test_heisenberg_series_and_classes_match_the_bfs(self):
         # 31 terms are more than twice the order-8 recurrence, so they pin the series
         dist, spheres = oracle.ball_enumerate(oracle.Heisenberg(), 30)
-        assert list(islice(iter_series(*oracle.HEISENBERG_SERIES), 31)) == spheres
-        classes, _ = oracle.key_class_counts(dist, oracle.heisenberg_conjugacy_key, 30)
-        assert oracle.heisenberg_class_spheres(30) == classes
+        assert list(islice(iter_series(*cg.HEISENBERG_SERIES), 31)) == spheres
+        classes, _ = oracle.key_class_counts(dist, cg.heisenberg_conjugacy_key, 30)
+        assert cg.heisenberg_class_spheres(30) == classes
 
     def test_dihedral_series_and_classes_match_the_bfs(self):
         dist, spheres = oracle.ball_enumerate(oracle.DihedralInfinite(), 40)
-        assert list(islice(iter_series(*oracle.DIHEDRAL_SERIES), 41)) == spheres
-        classes, _ = oracle.key_class_counts(dist, oracle.dihedral_conjugacy_key, 40)
-        assert oracle.dihedral_class_spheres(40) == classes
+        assert list(islice(iter_series(*cg.DIHEDRAL_SERIES), 41)) == spheres
+        classes, _ = oracle.key_class_counts(dist, cg.dihedral_conjugacy_key, 40)
+        assert cg.dihedral_class_spheres(40) == classes
 
     def test_class_formulas_at_small_radii(self):
-        assert oracle.dihedral_class_spheres(0) == oracle.heisenberg_class_spheres(0) == [1]
-        assert oracle.dihedral_class_spheres(1) == [1, 2]
-        assert [oracle.dihedral_y_class_spheres(n) for n in range(4)] == [
+        assert cg.dihedral_class_spheres(0) == cg.heisenberg_class_spheres(0) == [1]
+        assert cg.dihedral_class_spheres(1) == [1, 2]
+        assert [cg.dihedral_y_class_spheres(n) for n in range(4)] == [
             [1], [1, 2], [1, 2, 2], [1, 2, 2, 1]]
 
 

@@ -12,18 +12,15 @@ from hypothesis import strategies as st
 
 from conjratio import free_group, lamplighter, oracle
 from conjratio.sequences import (
-    MODE_GEOMETRIC,
-    MODE_INCREMENT,
-    check_ratio_vanishes,
     convolve,
     decimal_str,
     iter_power,
     iter_series,
     poly_mul,
     ratio,
-    stolz_cesaro,
     window_estimate,
 )
+from conjratio.vanishing import MODE_GEOMETRIC, MODE_INCREMENT, check_ratio_vanishes, stolz_cesaro
 
 ball_values = st.lists(st.integers(0, 50), min_size=1, max_size=10).map(
     lambda incs: tuple([1 + incs[0]] + incs[1:])
@@ -306,6 +303,34 @@ class TestRendering:
         # (2k + 1) / (2 * 10^digits) lies halfway between two outputs
         value = Fraction(2 * k + 1, 2 * 10 ** digits)
         assert decimal_str(value, digits) == decimal_route(value, digits)
+
+    @given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(1, 10**6),
+           st.integers(0, 15))
+    def test_integer_pairs_match_the_fraction_and_decimal_routes(self, num, den, scale, digits):
+        # a table cell: counts, not reduced (scale), the numerator possibly 0
+        value = Fraction(num, den)
+        cell = decimal_str(num * scale, digits, denominator=den * scale)
+        assert cell == decimal_str(value, digits) == decimal_route(value, digits)
+
+    @given(st.integers(0, 10**20), st.integers(1, 10**6), st.integers(0, 15))
+    def test_integer_pair_ties_match_the_decimal_route(self, k, scale, digits):
+        num, den = (2 * k + 1) * scale, 2 * 10 ** digits * scale  # halfway, unreduced
+        value = Fraction(num, den)
+        cell = decimal_str(num, digits, denominator=den)
+        assert cell == decimal_str(value, digits) == decimal_route(value, digits)
+
+    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12).filter(bool),
+           st.integers(0, 15))
+    def test_signed_integer_pairs_match_the_fraction(self, num, den, digits):
+        assert decimal_str(num, digits, denominator=den) == decimal_str(Fraction(num, den), digits)
+
+    @given(st.integers(0, 10**15), st.integers(1, 10**15), st.integers(0, 10**15),
+           st.integers(1, 10**15))
+    def test_cross_multiplied_abs_diff(self, cx, bx, cy, by):
+        # compare's abs_diff cell: |cx/bx - cy/by| over the denominator bx by
+        value = abs(Fraction(cx, bx) - Fraction(cy, by))
+        cell = decimal_str(abs(cx * by - cy * bx), denominator=bx * by)
+        assert cell == decimal_str(value) == decimal_route(value, 12)
 
 
 def decimal_route(value, digits):

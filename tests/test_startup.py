@@ -27,7 +27,8 @@ sys.exit(code)
 # modules every run loads: the CLI and what it imports at the top
 CORE = {"conjratio", "conjratio.cli", "conjratio.errors", "conjratio.sequences",
         "conjratio.words"}
-NEVER = {"dataclasses", "json", "statistics"}
+# modules no CSV run loads; fractions brings decimal in
+NEVER = {"dataclasses", "decimal", "fractions", "json", "statistics"}
 
 
 def loaded_by(argv):
@@ -44,16 +45,30 @@ def loaded_by(argv):
     ((), set()),
     (("growth", "--family", "free"), {"conjratio.free_group"}),
     (("compare", "--family", "free-abelian", "--dim", "1"), set()),
-    (("validate", "--family", "dihedral-inf"), {"conjratio.oracle"}),
+    (("growth", "--family", "heisenberg"), {"conjratio.coordinate_groups"}),
+    (("growth", "--family", "dihedral-inf"), {"conjratio.coordinate_groups"}),
+    (("compare", "--family", "dihedral-inf"), {"conjratio.coordinate_groups"}),
+    (("validate", "--family", "dihedral-inf"),
+     {"conjratio.oracle", "conjratio.coordinate_groups"}),
     (("growth", "--family", "raag", "--graph", "{P3}"), {"conjratio.raag"}),
-], ids=["import-only", "growth-free", "compare-free-abelian", "validate-dihedral-inf",
-        "growth-raag-p3"])
+], ids=["import-only", "growth-free", "compare-free-abelian", "growth-heisenberg",
+        "growth-dihedral-inf", "compare-dihedral-inf", "validate-dihedral-inf", "growth-raag-p3"])
 def test_a_run_loads_only_its_family_module(tmp_path, argv, family_modules):
     p3 = tmp_path / "p3.graph"
     p3.write_text("vertices: a b c\nedge: a b\nedge: b c\n", encoding="utf-8")
     loaded = loaded_by([str(p3) if arg == "{P3}" else arg for arg in argv])
     assert {m for m in loaded if m.startswith("conjratio")} == CORE | family_modules
     assert not loaded & NEVER
+
+
+@pytest.mark.parametrize("argv,needed", [
+    (("growth", "--family", "free"), {"json"}),
+    (("validate", "--family", "free", "--max-n", "3"), {"json"}),
+    # window_estimate: the exact peaks and their fitted slope
+    (("compare", "--family", "free"), {"json", "fractions", "decimal", "statistics"}),
+], ids=["growth", "validate", "compare"])
+def test_only_compare_loads_fractions_among_json_runs(argv, needed):
+    assert loaded_by([*argv, "--format", "json"]) & NEVER == needed
 
 
 def test_every_public_name_resolves():
