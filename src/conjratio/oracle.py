@@ -10,30 +10,29 @@ takes B(N) in BFS order; an element no earlier search met starts one, a
 shortest element of its class. The search conjugates by the generators and
 admits conjugates of word length at most N + slack, so it meets its class
 in B(N + slack) without enumerating that ball, and it holds B(N) and its
-own class only. It maps each element met to its inner class, its class in
-B(N + slack - 1), or to None on the outer sphere. Inner conjugates take the
-inner class of the element that met them and go on the stack; the outer
-sphere waits on the rim, visited only when the stack is empty, and an inner
-conjugate met from the rim seeds a new inner class if it has none when
-visited. A start is conjugated by every generator, any other element met by
-all but the inverse of the one that met it, which gives that element back.
-Inversion keeps word length and maps s^-1 u s to s^-1 u^-1 s, so a search
-that does not meet x^-1 fills x^-1's class too; at the end the classes are
-numbered as B(N) first meets them. The census counts each class at its
-least length; the slack - 1 census counts the inner classes whose least
-length is at most N, since one that misses B(N) may meet the rest of its
-class across the outer sphere. A class no search meets misses B(N) and
-counts in neither. The element budget bounds B(N) and the elements met past
-it in the current class, so a budget that holds B(N + slack) holds the
-search. A group with ``length`` (every constructor here but ``Heisenberg``)
-reads word lengths off its elements; one without it looks them up in a BFS
-of the padded ball. The closure is exact where a conjugator-length argument
-exists (free groups, RAAGs: peeling to the cyclic reduction never leaves
-B(N)) and elsewhere it is reported together with a stability flag comparing
-against slack - 1. Generating-set comparison counts each side's classes by
-an exact conjugacy key over its ball; it is the tests' route, since
-``conjratio compare`` counts by formula. The closed forms and class keys
-of ``DihedralInfinite`` and ``Heisenberg`` live in ``coordinate_groups``.
+own class only. Shorter conjugates go on the stack; the outer sphere waits
+on the rim, visited only when the stack is empty, so the start's inner
+class, its class in B(N + slack - 1), is all met before the rim is first
+visited. A start is conjugated by every generator, any other element by
+all but the inverse of the one that first met it, which gives that element
+back. Inversion keeps word length and maps s^-1 u s to s^-1 u^-1 s, so a
+search that does not meet x^-1 fills x^-1's class too; at the end the
+classes are numbered as B(N) first meets them. The census counts each
+class at its least length; a class no search meets misses B(N) and counts
+in no census. An element of B(N) met after the rim is first visited lies
+in another inner class, which the slack - 1 census counts apart, and one
+such element is all it takes for the two censuses to differ: the closure
+is reported with that stability flag. It is exact where a
+conjugator-length argument exists (free groups, RAAGs: peeling to the
+cyclic reduction never leaves B(N)). The element budget bounds B(N) and
+the elements met past it in the current class, so a budget that holds
+B(N + slack) holds the search. A group with ``length`` (every constructor
+here but ``Heisenberg``) reads word lengths off its elements; one without
+it looks them up in a BFS of the padded ball. Generating-set comparison
+counts each side's classes by an exact conjugacy key over its ball; it is
+the tests' route, since ``conjratio compare`` counts by formula. The
+closed forms and class keys of ``DihedralInfinite`` and ``Heisenberg``
+live in ``coordinate_groups``.
 """
 
 from __future__ import annotations
@@ -247,12 +246,13 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
     B(max_n + slack); classes counted by the smallest radius they meet.
     Lengths come from ``group.length``, or from a BFS of B(max_n + slack)
     for a group without one. A start is conjugated by every generator, any
-    other element met by all but the inverse of the one that met it; a
+    other element by all but the inverse of the one that first met it; a
     search that does not meet its start's inverse fills that class too. The
     search holds at most the element budget: B(max_n) and the elements met
-    past it in the current class, all in B(max_n + slack). ``stable``
-    reports whether shrinking the padding by one changes any count (None
-    when slack = 0)."""
+    past it in the current class, all in B(max_n + slack). ``stable`` is
+    False when a search meets an element of B(max_n) after its first visit
+    to the outer sphere, which is when shrinking the padding by one changes
+    a count, and None when slack = 0."""
     if slack is None:
         slack = max_n
     if slack < 0:
@@ -270,81 +270,57 @@ def conjugacy_classes(group, max_n: int, slack: Optional[int] = None) -> Conjuga
     conjugator = {s: group.conjugator(s) for s in group.generators}
     steps = [(conjugator[s], conjugator[invert(s)]) for s in group.generators]
     class_of = dict.fromkeys(dist)
-    # least lengths of the classes meeting B(max_n), and of the inner
-    # classes, those of B(outer - 1), meeting it
-    mins: list[int] = []
-    smaller: list[int] = []
+    mins: list[int] = []  # least lengths of the classes meeting B(max_n)
+    split = False  # some class holds two inner classes meeting B(max_n)
     for x, n in dist.items():
         if class_of[x] is not None:
             continue
-        # by element met: its inner class, numbered from 0, or None on the
-        # outer sphere (at slack 0 a start there opens class 0 all the same,
-        # which no census reads); by inner class: its least length
-        label = {x: 0}
-        least = [n]
-        # to visit: inner conjugates, inner ones met from the rim, the outer
-        # sphere; each with the conjugator back to the element that met it
+        # to visit: conjugates inside B(outer - 1), then the outer sphere;
+        # each with the conjugator back to the element that first met it
+        met = {x}
         stack = [(x, None)]
-        seeds: list = []
         rim: list = []
+        crossed = False  # the rim was visited: x's inner class is all met
         beyond = 0  # elements met past B(max_n)
-        while True:
+        while stack or rim:
             if stack:
                 u, skip = stack.pop()
-            elif seeds:
-                u, skip = seeds.pop()
-                if u in label:
-                    continue
-                d = length(u)
-                label[u] = len(least)
-                least.append(d)
-                beyond += d > max_n
-            elif rim:
-                u, skip = rim.pop()
             else:
-                break
-            inner = label[u]
+                u, skip = rim.pop()
+                crossed = True
             for conjugate, back in steps:
                 if conjugate is skip:
                     continue
                 y = conjugate(u)
-                if y is u or y in label:
+                if y is u or y in met:
                     continue
                 d = length(y)
                 if d > outer:
                     continue
-                if d == outer:
-                    label[y] = None
-                    rim.append((y, back))
-                elif inner is None:
-                    seeds.append((y, back))
-                    continue
-                else:
-                    label[y] = inner
-                    stack.append((y, back))
-                    if d < least[inner]:
-                        least[inner] = d
-                beyond += d > max_n
+                met.add(y)
+                (rim if d == outer else stack).append((y, back))
+                if d > max_n:
+                    beyond += 1
+                elif crossed:
+                    split = True
             if size + beyond > limit:
                 raise BudgetExceededError(max_n, limit)
         # a class without x^-1 fills its inverse class, its twin, unsearched
         number, inverse = len(mins), invert(x)
-        twin = None if inverse in label else number + 1
-        for y in label:
+        twin = None if inverse in met else number + 1
+        for y in met:
             if y in class_of:
                 class_of[y] = number
                 if twin is not None:
                     class_of[inverse if y is x else invert(y)] = twin
-        pair = 1 if twin is None else 2
-        mins += [n] * pair
-        smaller += [m for m in least if m <= max_n] * pair
+        mins += [n] * (1 if twin is None else 2)
     # number the classes as B(max_n) first meets them in BFS order
     numbers, first = [None] * len(mins), count()
     for y, c in class_of.items():
         if numbers[c] is None:
             numbers[c] = next(first)
         class_of[y] = numbers[c]
-    stable = None if slack == 0 else sorted(smaller) == mins
+    stable = None if slack == 0 else not split
     sphere_classes = [0] * (max_n + 1)
     for m in mins:
         sphere_classes[m] += 1

@@ -6,11 +6,12 @@ against it and know their last radius before any class work. When the
 graph is a cograph, built from single vertices by joins and disjoint
 unions, the clique polynomial composes over its cotree and
 ``class_spheres`` composes direct products (a join convolves) and free
-products (a union adds the necklaces of alternating syllables). Over
-other graphs the series' denominator is read term by term from clique
-counts, and the classes come from the word counter ``counts``, which
-also backs the tests. A run builds one ``Raag`` from its graph and passes
-it to the series, the class counts, the oracle's group and the class key.
+products (a union of m factors adds the necklaces of syllables from
+alternating factors), each node's children at once. Over other graphs
+the series' denominator is read term by term from clique counts, and
+the classes come from the word counter ``counts``, which also backs the
+tests. A run builds one ``Raag`` from its graph and passes it to the
+series, the class counts, the oracle's group and the class key.
 
 Letters are codes 2*g (generator g) and 2*g + 1 (its inverse), and an
 element is its shortlex normal form, its least geodesic word, as a tuple of
@@ -36,6 +37,7 @@ conjugation closure check the counter by an independent route.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import chain, count, islice, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -424,18 +426,14 @@ Cotree = tuple[tuple[Optional[bool], tuple[int, ...]], ...]
 
 def _compose(tree: Cotree, vertex, join: Callable, union: Callable):
     """Fold the cotree up from its leaves: ``vertex`` at each leaf, then
-    ``join`` or ``union`` over a node's children, left to right."""
+    ``join`` or ``union`` of the list of a node's children's values."""
     values: list = [None] * len(tree)
     for at in reversed(range(len(tree))):
         kind, children = tree[at]
         if kind is None:
             values[at] = vertex
-            continue
-        step = join if kind else union
-        value = values[children[0]]
-        for child in children[1:]:
-            value = step(value, values[child])
-        values[at] = value
+        else:
+            values[at] = (join if kind else union)([values[c] for c in children])
     return values[0]
 
 
@@ -455,21 +453,26 @@ def _sphere_series(clique: list[int]) -> tuple[list[int], list[int]]:
     return row, denom
 
 
-def _free_product_classes(left, right, n: int) -> list[int]:
-    """Class spheres 0..n of A * B from each factor's (clique polynomial,
-    class spheres). A class either meets a factor, and is one of its
-    classes, or its least words are the cyclic sequences of (A-syllable,
-    B-syllable) pairs (Magnus, Karrass and Solitar, Thm 4.2). One pair has
-    series P = (S_A - 1)(S_B - 1); t P' / (1 - P) counts pair sequences
-    with a marked starting pair, and their rotation classes are the
-    necklaces."""
-    a, b = (list(islice(iter_series(*_sphere_series(clique)), n + 1)) for clique, _ in (left, right))
-    pair = convolve([0] + a[1:], [0] + b[1:])
-    trace = list(islice(iter_series((k * p for k, p in enumerate(pair)),
-                                    [1] + [-p for p in pair[1:]]), n + 1))
-    classes = [x + y + z for x, y, z in zip(left[1], right[1], [0] + cycrep_counts(trace[1:]))]
-    classes[0] -= 1  # the identity's class meets both factors
-    return classes
+def _log_derivative(clique: list[int], n: int) -> list[int]:
+    """t S'/S to t^n, for S the sphere series of a clique polynomial."""
+    s = list(islice(iter_series(*_sphere_series(clique)), n + 1))
+    return list(islice(iter_series([k * a for k, a in enumerate(s)], s), n + 1))
+
+
+def _free_product(factors: list, n: int) -> tuple[list[int], list[int]]:
+    """(clique polynomial, class spheres 0..n) of a free product from its
+    factors'. A class meets a factor, and is one of its classes, or its
+    least words are cyclic sequences of syllables from alternating factors
+    (Magnus, Karrass and Solitar, Thm 4.2). Their transfer matrix M has
+    det(I - M) = prod S_i / S, so t S'/S - sum t S_i'/S_i counts them with
+    a marked start, and their rotation classes are the necklaces."""
+    clique = poly_add(*(c for c, _ in factors), [1 - len(factors)])
+    trace = _log_derivative(clique, n)
+    for c, _ in factors:
+        trace = [x - y for x, y in zip(trace, _log_derivative(c, n))]
+    classes = [sum(col) for col in zip([0] + cycrep_counts(trace[1:]), *(c for _, c in factors))]
+    classes[0] -= len(factors) - 1  # the identity's class meets every factor
+    return clique, classes
 
 
 def _clique_sizes(group: Raag) -> Iterator[int]:
@@ -506,19 +509,19 @@ def sphere_series(group: Raag) -> tuple[Iterable[int], Iterable[int]]:
     denominator is read term by term."""
     if group.cotree is None:
         return (1,), _chiswell_denominator(group)
-    return _sphere_series(_compose(group.cotree, [1, 1], poly_mul,
-                                   lambda p, q: poly_add(p, q, [-1])))
+    return _sphere_series(_compose(group.cotree, [1, 1], lambda ps: reduce(poly_mul, ps),
+                                   lambda ps: poly_add(*ps, [1 - len(ps)])))
 
 
 def class_spheres(group: Raag, n: int) -> list[int]:
     """Conjugacy classes by least length 0..n. Over a cograph they compose
     over the cotree: a vertex is Z with classes 1, 2, 2, ...; a join
-    convolves; a union is a free product (``_free_product_classes``).
-    Other graphs run the word counter to radius n."""
+    convolves; a union is a free product (``_free_product``). Other graphs
+    run the word counter to radius n."""
     if group.cotree is None:
         return group.counts(n).conj_sphere
     return _compose(
         group.cotree, ([1, 1], [1] + [2] * n),
-        lambda x, y: (poly_mul(x[0], y[0]), convolve(x[1], y[1])),
-        lambda x, y: (poly_add(x[0], y[0], [-1]), _free_product_classes(x, y, n)),
+        lambda xs: (reduce(poly_mul, [c for c, _ in xs]), reduce(convolve, [c for _, c in xs])),
+        lambda xs: _free_product(xs, n),
     )[1]

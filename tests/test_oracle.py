@@ -141,6 +141,12 @@ class SymmetricGroup4:
         return lambda x: self.multiply(self.multiply(s_inv, x), s)
 
 
+def s4_group(generators, length=None):
+    """``SymmetricGroup4`` on the given generators as an ``oracle.Group``."""
+    g = SymmetricGroup4(generators)
+    return oracle.Group(g.identity, g.generators, g.multiply, g.invert, g.conjugator, length)
+
+
 class TestAdapters:
     @pytest.mark.parametrize(
         "group",
@@ -389,6 +395,9 @@ class TestConjugacyClasses:
         pytest.param(RaagGroup(raag.Raag(raag.path_graph(3))), 4, 3, id="raag-p3"),
         pytest.param(Lamplighter(), 4, 5, id="lamplighter"),
         pytest.param(Heisenberg(), 4, 5, id="heisenberg"),
+        # a conjugate met from two elements of the outer sphere skips the
+        # conjugator back to the first of them
+        pytest.param(s4_group([(1, 2, 0, 3), (3, 2, 1, 0)]), 1, 2, id="s4-cycle"),
     ])
     def test_no_conjugation_returns_the_element_that_met_it(self, group, max_n, slack):
         # y = s^-1 u s, first met from u, is never conjugated by s^-1, which
@@ -512,6 +521,22 @@ class TestConjugacyClasses:
         table = conjugacy_classes(SymmetricGroup4(), max_n, slack=slack)
         assert table.stable is stable
         assert table.ball_classes == ball_classes
+
+
+class TestSymmetricGroupDraws:
+    """S4 is the one group here whose closure is unstable at small radii,
+    so random generating sets of it pin the stability flag."""
+
+    @given(st.lists(st.permutations(range(4)).map(tuple), min_size=1, max_size=3),
+           st.integers(0, 2), st.integers(0, 3), st.booleans())
+    def test_matches_reference_closure(self, generators, max_n, slack, with_length):
+        group = s4_group(generators)
+        if with_length:
+            group = group._replace(length=ball_enumerate(group, 24)[0].__getitem__)
+        table = conjugacy_classes(group, max_n, slack=slack)
+        expected = reference_closure(group, max_n, slack)
+        ball = {x: d for x, d in expected.dist.items() if d <= max_n}
+        assert table == expected._replace(dist=ball)
 
 
 class TestLength:

@@ -560,6 +560,13 @@ class TestFormula:
         assert formula_spheres(graph, 5) == c.sphere == chiswell_spheres(graph, 5)
         assert raag.class_spheres(Raag(graph), 5) == c.conj_sphere
 
+    def test_edgeless_graphs_give_free_groups(self):
+        # one union node of k leaves: Rivin's closed form for F_k
+        for k in range(1, 27):
+            assert raag.class_spheres(Raag(empty_graph(k)), 8) == fg.conjugacy_sphere_counts(k, 8)
+        wide = GraphSpec(tuple(f"v{i}" for i in range(2000)), frozenset())
+        assert raag.class_spheres(Raag(wide), 4) == fg.conjugacy_sphere_counts(2000, 4)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_cotree_exists_exactly_without_an_induced_path(self, k):
         pairs = list(itertools.combinations(range(k), 2))
