@@ -8,7 +8,6 @@ layouts never depend on hash order.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cached_property
 from importlib import import_module
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Opti
 from .errors import BudgetExceededError, default_budget
 # convolve is not called here; perfbench/tracer.py wraps the name
 from .sequences import convolve, decimal_str, iter_power, iter_series, ratio, window_estimate
-from .words import cycrep_counts, divisors, euler_phi, primitive_counts
+from .words import cycrep_counts, primitive_counts
 
 if TYPE_CHECKING:
     from . import oracle, raag
@@ -226,7 +225,9 @@ def run_compare(cfg: RunConfig) -> str:
     return _json_table({"window": cfg.window, "columns": columns, "estimates": estimates}, cfg)
 
 
-def run_necklace(path: str, fmt: str) -> str:
+def run_necklace(path: str, fmt: str = "csv") -> str:
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     counts = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -253,94 +254,10 @@ def run_necklace(path: str, fmt: str) -> str:
     return _json_table({"columns": columns})
 
 
-# validation suites: (name, radius, passed) triples per family
-
-
-def _partitions_agree(key: Callable, class_of: dict) -> bool:
-    """The (key, class) pairs are a bijection: no more of them than keys or classes."""
-    pairs = {(key(x), c) for x, c in class_of.items()}
-    return len(pairs) == len({k for k, _ in pairs}) == len(set(class_of.values()))
-
-
-def _suite(cfg: RunConfig, cap: int, default_slack: Optional[int],
-           names: Sequence[str] = (), key: Optional[Callable] = None):
-    """The oracle's closure over B(n + slack), n = min(max_n, cap), its budget
-    charged against the family's sphere series before the group is built,
-    and the rows every suite shares: the two named formula rows (the spheres
-    and classes ``growth`` prints, against the BFS and the closure), the class
-    key's partition of B(n) against the closure's where the family has a key,
-    then stability. A default slack of None means max(n, 1). The closure
-    enumerates B(n) only for a group with ``length``, but the charge stays
-    B(n + slack): it bounds every conjugate the closure admits."""
-    from . import oracle
-
-    n = min(cfg.max_n, cap)
-    default = max(n, 1) if default_slack is None else default_slack
-    slack = default if cfg.slack is None else cfg.slack
-    spheres = _charge_whole_ball(_series(cfg), n + slack)[:n + 1]
-    family = FAMILIES[cfg.family]
-    table = oracle.conjugacy_classes(family.group(cfg), n, slack=slack)
-    rows = []
-    if names:
-        sphere_row, class_row = names
-        rows += [(sphere_row, n, list(table.spheres) == spheres),
-                 (class_row, n, list(table.sphere_classes) == family.classes(cfg, n))]
-    if key is not None:
-        rows.append((f"{cfg.family}: key partition matches oracle partition", n,
-                     _partitions_agree(key, table.class_of)))
-    rows.append((f"{cfg.family}: oracle stable under slack-1", n, bool(table.stable)))
-    return table, rows
-
-
-def _validate_free(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    from . import free_group
-
-    table, rows = _suite(cfg, 8, 2, ("free: sphere formula vs BFS",
-                                     "free: conjugacy counts vs oracle"))
-    strict = free_group.cyclically_reduced_counts(cfg.rank, max(table.radius, 6))
-    necklaces = cycrep_counts(strict)
-    identity_ok = all(
-        m * necklaces[m - 1] == sum(euler_phi(m // d) * strict[d - 1] for d in divisors(m))
-        for m in range(1, len(strict) + 1))
-    return rows + [("free: necklace identity on cyclically reduced counts", len(strict),
-                    identity_ok)]
-
-
-def _validate_raag(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    return _suite(cfg, 5, 2, ("raag: ball counts vs oracle BFS",
-                              "raag: conjugacy counts vs oracle"),
-                  cfg.artin.element_key)[1]
-
-
-def _validate_lamplighter(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    from . import lamplighter
-
-    table, rows = _suite(cfg, 7, None, ("lamplighter: sphere counts vs BFS",
-                                        "lamplighter: conjugacy counts vs oracle"),
-                         lamplighter.conj_key)
-    return [("lamplighter: metric formula vs BFS distance", table.radius,
-             all(lamplighter.word_length(x) == table.dist[x] for x in table.class_of)), *rows]
-
-
-def _validate_free_abelian(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    return _suite(cfg, 6 if cfg.dim <= 3 else 4, 2,
-                  ("free-abelian: convolution balls vs oracle BFS",
-                   "free-abelian: every element is its own class"))[1]
-
-
-def _validate_dihedral(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    from . import coordinate_groups
-
-    return _suite(cfg, 16, 4, ("dihedral-inf: ball size 2n+1",
-                               "dihedral-inf: class count 3 + n//2 from n=2"),
-                  coordinate_groups.dihedral_conjugacy_key)[1]
-
-
-def _validate_heisenberg(cfg: RunConfig) -> list[tuple[str, int, bool]]:
-    from . import coordinate_groups
-
-    # no formula rows: perfbench/expected.json pins this suite's output
-    return _suite(cfg, 6, None, key=coordinate_groups.heisenberg_conjugacy_key)[1]
+def _validation(name: str) -> Callable[[RunConfig], list[tuple[str, int, bool]]]:
+    """validate's suite ``name`` in ``suites``, handed the family and the budget charge."""
+    return lambda cfg: getattr(_module("suites"), name)(cfg, FAMILIES[cfg.family],
+                                                        _charge_whole_ball)
 
 
 class Family(NamedTuple):
@@ -360,84 +277,51 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "free": Family(_validate_free, lambda cfg: _module("free_group").series(cfg.rank),
+    "free": Family(_validation("free"), lambda cfg: _module("free_group").series(cfg.rank),
                    lambda cfg, n: _module("free_group").conjugacy_sphere_counts(cfg.rank, n),
                    lambda cfg: _module("oracle").FreeGroup(cfg.rank),
                    parameters=lambda cfg: {"rank": cfg.rank}, compare=_compare_free),
     # every element is its own class
-    "free-abelian": Family(_validate_free_abelian, _free_abelian_series,
+    "free-abelian": Family(_validation("free_abelian"), _free_abelian_series,
                            lambda cfg, n: list(islice(_series(cfg), n + 1)),
                            lambda cfg: _module("oracle").FreeAbelian(cfg.dim),
                            parameters=lambda cfg: {"dim": cfg.dim},
                            compare=lambda cfg: _compare_free_abelian(cfg.dim)),
-    "raag": Family(_validate_raag, lambda cfg: _module("raag").sphere_series(cfg.artin),
+    "raag": Family(_validation("raag"), lambda cfg: _module("raag").sphere_series(cfg.artin),
                    lambda cfg, n: _module("raag").class_spheres(cfg.artin, n),
                    lambda cfg: _module("oracle").RaagGroup(cfg.artin),
                    parameters=lambda cfg: {"graph": cfg.graph_path}),
-    "lamplighter": Family(_validate_lamplighter, lambda cfg: _module("lamplighter").SERIES,
+    "lamplighter": Family(_validation("lamplighter"), lambda cfg: _module("lamplighter").SERIES,
                           lambda cfg, n: _module("lamplighter").conjugacy_counts(n)[0],
                           lambda cfg: _module("oracle").Lamplighter()),
-    "dihedral-inf": Family(_validate_dihedral,
+    "dihedral-inf": Family(_validation("dihedral_inf"),
                            lambda cfg: _module("coordinate_groups").DIHEDRAL_SERIES,
                            lambda cfg, n: _module("coordinate_groups").dihedral_class_spheres(n),
                            lambda cfg: _module("oracle").DihedralInfinite(),
                            compare=lambda cfg: (
                                _module("coordinate_groups").DIHEDRAL_Y_SERIES,
                                _module("coordinate_groups").dihedral_y_class_spheres)),
-    "heisenberg": Family(_validate_heisenberg,
+    "heisenberg": Family(_validation("heisenberg"),
                          lambda cfg: _module("coordinate_groups").HEISENBERG_SERIES,
                          lambda cfg, n: _module("coordinate_groups").heisenberg_class_spheres(n),
                          lambda cfg: _module("oracle").Heisenberg()),
 }
 
 
-def run_validate(cfg: RunConfig) -> tuple[str, bool]:
-    checks = FAMILIES[cfg.family].validate(cfg)
-    all_ok = all(ok for _, _, ok in checks)
-    if cfg.fmt == "json":
-        payload = {"checks": [{"name": name, "radius": radius, "passed": ok}
-                              for name, radius, ok in checks], "all_passed": all_ok}
-        return _json_table(payload, cfg), all_ok
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name} (radius {radius})"
-             for name, radius, ok in checks]
-    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
-    return "\n".join(lines) + "\n", all_ok
+# each verb's options: flag -> (RunConfig field, or main's "out"; int or str)
+_OUTPUT = {"--format": ("fmt", str), "--out": ("out", str)}
+_COMMON = {"--family": ("family", str), "--rank": ("rank", int), "--dim": ("dim", int),
+           "--graph": ("graph_path", str), "--max-n": ("max_n", int), **_OUTPUT}
+OPTIONS = {"growth": _COMMON, "validate": {**_COMMON, "--slack": ("slack", int)},
+           "compare": {**_COMMON, "--window": ("window", int)}, "necklace": _OUTPUT}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conjratio",
-        description="Exact growth and conjugacy-growth tables for some "
-                    "finitely generated groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-        p.add_argument("--rank", type=int, default=2,
-                       help="rank for the free family (default 2)")
-        p.add_argument("--dim", type=int, default=2,
-                       help="dimension for the free-abelian family (default 2)")
-        p.add_argument("--graph", dest="graph_path",
-                       help="commutation graph file for the raag family")
-        p.add_argument("--max-n", type=int, default=8, help="largest radius (default 8)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="write the table here instead of stdout")
-        return p
-
-    add_common(sub.add_parser("growth", help="ball/sphere/conjugacy growth table"))
-    validate = add_common(sub.add_parser("validate", help="cross-validation suite for a family"))
-    validate.add_argument("--slack", type=int, default=None,
-                          help="extra conjugation-closure radius (default: per family)")
-    compare = add_common(sub.add_parser("compare",
-                                        help="conjugacy ratio under two generating sets"))
-    compare.add_argument("--window", type=int, default=5,
-                         help="terms in windowed limsup estimates (default 5)")
-    neck = sub.add_parser("necklace", help="necklace counts from a file of per-length totals")
-    neck.add_argument("counts_file", help="text file, one count per line (a(1), a(2), ...)")
-    neck.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    neck.add_argument("--out", help="write the table here instead of stdout")
-    return parser
+def usage() -> str:
+    verbs = (" ".join([f"  {verb}", *["COUNTS_FILE"] * (verb == "necklace"), *(
+        f"{flag} {'N' if kind is int else flag[2:].upper()}" for flag, (_, kind) in opts.items())])
+        for verb, opts in OPTIONS.items())
+    return "\n".join(["usage: conjratio VERB [--option VALUE | --option=VALUE ...]", *verbs,
+                      "only --family is required; families: " + ", ".join(FAMILIES)]) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -449,17 +333,42 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        return 0
     try:
-        if args.command == "necklace":
-            text, ok = run_necklace(args.counts_file, args.fmt), True
+        # the command line, by OPTIONS: a malformed one is a ValueError
+        verb, args, options, files = (argv or ["nothing"])[0], iter(argv[1:]), {}, []
+        if verb not in OPTIONS:
+            raise ValueError(f"expected a verb ({', '.join(OPTIONS)}), got {verb}")
+        for arg in args:
+            flag, eq, value = arg.partition("=")
+            if not arg.startswith("-"):
+                files.append(arg)
+                continue
+            if flag not in OPTIONS[verb]:
+                raise ValueError(f"{verb} has no option {flag}")
+            if not eq and ((value := next(args, None)) is None or value.startswith("--")):
+                raise ValueError(f"{flag} needs a value")
+            field, kind = OPTIONS[verb][flag]
+            if kind is int and not value.removeprefix("-").isdecimal():
+                raise ValueError(f"{flag} needs an integer, got {value!r}")
+            options[field] = kind(value)
+        if len(files) != (verb == "necklace"):
+            wanted = "one counts file" if verb == "necklace" else "no file"
+            raise ValueError(f"{verb} takes {wanted}, got {len(files)}")
+        out = options.pop("out", None)
+        if verb == "necklace":
+            text, ok = run_necklace(*files, **options), True
         else:
-            # each verb's options but the command and --out are RunConfig
-            # fields; the ones it lacks keep their defaults
-            cfg = RunConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "out")})
-            verb = {"growth": run_growth, "compare": run_compare}.get(args.command)
-            text, ok = (verb(cfg), True) if verb else run_validate(cfg)
-        _emit(text, args.out)
+            if "family" not in options:
+                raise ValueError(f"{verb} needs --family")
+            cfg = RunConfig(**options)  # absent options keep their defaults
+            run = {"growth": run_growth, "compare": run_compare}.get(verb)
+            text, ok = (run(cfg), True) if run else _module("suites").report(
+                cfg, FAMILIES[cfg.family].validate(cfg), _json_table)
+        _emit(text, out)
         return 0 if ok else 1
     except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -468,8 +468,9 @@ def _free_product(factors: list, n: int) -> tuple[list[int], list[int]]:
     a marked start, and their rotation classes are the necklaces."""
     clique = poly_add(*(c for c, _ in factors), [1 - len(factors)])
     trace = _log_derivative(clique, n)
-    for c, _ in factors:
-        trace = [x - y for x, y in zip(trace, _log_derivative(c, n))]
+    # equal factors share one derivation
+    for c, times in Counter(tuple(c) for c, _ in factors).items():
+        trace = [x - times * y for x, y in zip(trace, _log_derivative(c, n))]
     classes = [sum(col) for col in zip([0] + cycrep_counts(trace[1:]), *(c for _, c in factors))]
     classes[0] -= len(factors) - 1  # the identity's class meets every factor
     return clique, classes

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conjratio import cli, coordinate_groups, free_group, lamplighter, oracle, raag
+from conjratio import cli, coordinate_groups, free_group, lamplighter, oracle, raag, suites
 from conjratio.cli import RunConfig
 from conjratio.sequences import convolve, decimal_str
 
@@ -100,6 +100,37 @@ def compare_and_validate_argv(draw):
     else:
         flags["--window"] = draw(st.integers(min_value=2, max_value=8))
     return [verb, "--family", family, *(str(x) for pair in flags.items() for x in pair)]
+
+
+@st.composite
+def command_lines(draw):
+    """Any command line, well formed or not: known and unknown verbs, each
+    verb's options and unknown ones, values missing, non-integer or negative,
+    and --opt=value forms. Most lines start well formed and most values fit
+    their option, so every verb runs too. Values are small and files are
+    named relative to the working directory."""
+    verb = draw(st.sampled_from(["grow", "", "-x"] if draw(st.integers(0, 5)) == 0
+                                else list(cli.OPTIONS)))
+    every_flag = sorted({flag for options in cli.OPTIONS.values() for flag in options}
+                        | {"--max", "--bogus", "-n", "--"})
+    own_flag = st.sampled_from(sorted(cli.OPTIONS.get(verb, every_flag)))
+    bad = st.sampled_from(["-1", "-3", "x", "1.5", "", "xml", "nope", "absent/x.txt"])
+
+    def value(flag):
+        good = {"--family": st.sampled_from(sorted(cli.FAMILIES)), "--graph": st.just("p3.graph"),
+                "--format": st.sampled_from(["csv", "json"]), "--out": st.just("out.txt")}
+        return draw(bad if draw(st.integers(0, 5)) == 0
+                    else good.get(flag, st.integers(min_value=0, max_value=6).map(str)))
+
+    argv = [verb]
+    if draw(st.integers(0, 3)):
+        argv += ["counts.txt"] if verb == "necklace" else ["--family", value("--family")]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        flag = draw(own_flag if draw(st.integers(0, 7)) else st.sampled_from(every_flag))
+        form = draw(st.sampled_from(["pair"] * 5 + ["equals"] * 2 + ["bare", "stray"]))
+        argv += {"pair": lambda: [flag, value(flag)], "equals": lambda: [f"{flag}={value(flag)}"],
+                 "bare": lambda: [flag], "stray": lambda: [value(flag)]}[form]()
+    return argv
 
 
 def unbounded_by_the_budget(argv, budget):
@@ -784,9 +815,9 @@ class TestValidate:
 
     def test_key_partition_check_rejects_coarser_and_finer_keys(self):
         table = oracle.conjugacy_classes(oracle.DihedralInfinite(), 4, slack=4)
-        assert cli._partitions_agree(coordinate_groups.dihedral_conjugacy_key, table.class_of)
-        assert not cli._partitions_agree(lambda x: 0, table.class_of)  # merges classes
-        assert not cli._partitions_agree(lambda x: x, table.class_of)  # splits classes
+        assert suites._partitions_agree(coordinate_groups.dihedral_conjugacy_key, table.class_of)
+        assert not suites._partitions_agree(lambda x: 0, table.class_of)  # merges classes
+        assert not suites._partitions_agree(lambda x: x, table.class_of)  # splits classes
 
     @pytest.mark.parametrize("family,argv,class_row", [
         ("free", ["--max-n", "6"], "free: conjugacy counts vs oracle"),
@@ -962,6 +993,29 @@ class TestFuzz:
             self.assert_exit_contract(*run_cli(argv))
 
     @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("argv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_any_command_line_keeps_the_exit_contract(self, fuzz_dir, argv):
+        # an --out drawn before a file name may overwrite it: write both afresh
+        (fuzz_dir / "p3.graph").write_text(P3_GRAPH, encoding="utf-8")
+        (fuzz_dir / "counts.txt").write_text("2\n4\n8\n", encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(fuzz_dir)
+        try:
+            with mock.patch.dict(os.environ, {"CONJRATIO_BUDGET": "2000"}):
+                code, out, err = run_cli(argv)
+        finally:
+            os.chdir(cwd)
+        self.assert_exit_contract(code, out, err)
+        if "-h" in argv or "--help" in argv:
+            assert code == 0 and out.startswith("usage: conjratio")
+        elif argv[0] not in cli.OPTIONS:
+            assert code == 2
+
+    @pytest.fixture(scope="class")
     def counts_path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz") / "counts.txt"
 
@@ -1044,11 +1098,51 @@ class TestErrorExits:
         ["validate", "--family", "free", "--window", "3"],
         ["growth", "--family", "free", "--window", "1"],
     ])
-    def test_verbs_take_only_the_options_they_read(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    def test_verbs_take_only_the_options_they_read(self, argv):
+        assert run_cli(argv) == (2, "", f"error: {argv[0]} has no option {argv[-2]}\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        ([], "expected a verb (growth, validate, compare, necklace), got nothing"),
+        (["grow", "--family", "free"], "expected a verb (growth, validate, compare, necklace), "
+                                       "got grow"),
+        (["growth", "--max-n", "3"], "growth needs --family"),
+        (["validate"], "validate needs --family"),
+        (["growth", "--family", "free", "--format", "xml"],
+         "format must be csv or json, got 'xml'"),
+        (["necklace", "counts.txt", "--format=xml"], "format must be csv or json, got 'xml'"),
+        (["necklace"], "necklace takes one counts file, got 0"),
+        (["necklace", "a.txt", "b.txt"], "necklace takes one counts file, got 2"),
+        (["growth", "--family", "free", "extra"], "growth takes no file, got 1"),
+        (["growth", "--family", "free", "--max-n"], "--max-n needs a value"),
+        (["growth", "--family", "--max-n", "3"], "--family needs a value"),
+        (["growth", "--family", "free", "--max-n", "three"],
+         "--max-n needs an integer, got 'three'"),
+        (["growth", "--family", "free", "--max-n=1.5"], "--max-n needs an integer, got '1.5'"),
+        (["growth", "--family", "free", "--max-n", "-1"], "max radius must be nonnegative"),
+        # argparse took unique prefixes; only exact names are options now
+        (["growth", "--family", "free", "--max", "3"], "growth has no option --max"),
+        (["growth", "--fam=free"], "growth has no option --fam"),
+        (["growth", "--family", "free", "-n", "3"], "growth has no option -n"),
+    ])
+    def test_malformed_command_lines_exit_2_with_one_line(self, argv, err):
+        assert run_cli(argv) == (2, "", f"error: {err}\n")
+
+    def test_equals_form_reads_like_two_arguments(self):
+        spaced = run_cli(["growth", "--family", "free", "--max-n", "4", "--format", "json"])
+        assert spaced[0] == 0
+        assert run_cli(["growth", "--family=free", "--max-n=4", "--format=json"]) == spaced
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["growth", "--family", "free", "-h"],
+                                      ["nope", "--help"]])
+    def test_help_lists_every_verb_and_option(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("usage: conjratio")
+        for verb, options in cli.OPTIONS.items():
+            listed = next(line.split() for line in lines if line.split()[:1] == [verb])
+            assert set(options) == {word for word in listed if word.startswith("--")}
+        assert all(family in lines[-1] for family in cli.FAMILIES)
 
 
 class TestOutputFile:

@@ -567,6 +567,20 @@ class TestFormula:
         wide = GraphSpec(tuple(f"v{i}" for i in range(2000)), frozenset())
         assert raag.class_spheres(Raag(wide), 4) == fg.conjugacy_sphere_counts(2000, 4)
 
+    def test_equal_factors_share_one_derivation(self, monkeypatch):
+        # 30 leaves [1, 1] under one union: the union's series and one leaf's
+        derived, derive = [], raag._log_derivative
+        monkeypatch.setattr(raag, "_log_derivative",
+                            lambda clique, n: derived.append(clique) or derive(clique, n))
+        edgeless = GraphSpec(tuple(f"v{i}" for i in range(30)), frozenset())
+        assert raag.class_spheres(Raag(edgeless), 6) == fg.conjugacy_sphere_counts(30, 6)
+        assert len(derived) == 2
+        # P3 joins a vertex to a union of two leaves, and C4 joins two such unions
+        for graph, unions in ((path_graph(3), 1), (cycle_graph(4), 2)):
+            derived.clear()
+            raag.class_spheres(Raag(graph), 4)
+            assert len(derived) == 2 * unions
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_cotree_exists_exactly_without_an_induced_path(self, k):
         pairs = list(itertools.combinations(range(k), 2))

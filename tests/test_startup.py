@@ -27,8 +27,8 @@ sys.exit(code)
 # modules every run loads: the CLI and what it imports at the top
 CORE = {"conjratio", "conjratio.cli", "conjratio.errors", "conjratio.sequences",
         "conjratio.words"}
-# modules no CSV run loads; fractions brings decimal in
-NEVER = {"dataclasses", "decimal", "fractions", "json", "statistics"}
+# modules no CSV run loads; fractions brings decimal in, and argparse gettext
+NEVER = {"argparse", "dataclasses", "decimal", "fractions", "gettext", "json", "statistics"}
 
 
 def loaded_by(argv):
@@ -49,7 +49,7 @@ def loaded_by(argv):
     (("growth", "--family", "dihedral-inf"), {"conjratio.coordinate_groups"}),
     (("compare", "--family", "dihedral-inf"), {"conjratio.coordinate_groups"}),
     (("validate", "--family", "dihedral-inf"),
-     {"conjratio.oracle", "conjratio.coordinate_groups"}),
+     {"conjratio.oracle", "conjratio.coordinate_groups", "conjratio.suites"}),
     (("growth", "--family", "raag", "--graph", "{P3}"), {"conjratio.raag"}),
 ], ids=["import-only", "growth-free", "compare-free-abelian", "growth-heisenberg",
         "growth-dihedral-inf", "compare-dihedral-inf", "validate-dihedral-inf", "growth-raag-p3"])
@@ -69,6 +69,30 @@ def test_a_run_loads_only_its_family_module(tmp_path, argv, family_modules):
 ], ids=["growth", "validate", "compare"])
 def test_only_compare_loads_fractions_among_json_runs(argv, needed):
     assert loaded_by([*argv, "--format", "json"]) & NEVER == needed
+
+
+# Runs the CLI as ``python -m conjratio.cli`` would, through runpy, and
+# prints main's exit code and the conjratio modules loaded, one a line.
+RUN_AS_MAIN = """\
+import runpy, sys
+try:
+    runpy.run_module("conjratio.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code)
+print("\\n".join(sorted(m for m in sys.modules if m.startswith(("conjratio", "argparse")))))
+"""
+
+
+def test_validate_run_as_main_compiles_cli_once():
+    # cli runs as __main__; a suite importing conjratio.cli would run it again
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = ["validate", "--family", "dihedral-inf", "--max-n", "4", "--out", os.devnull]
+    proc = subprocess.run([sys.executable, "-S", "-c", RUN_AS_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, *loaded = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert "conjratio.suites" in loaded
+    assert "conjratio.cli" not in loaded and "argparse" not in loaded
 
 
 def test_every_public_name_resolves():
