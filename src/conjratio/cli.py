@@ -14,7 +14,7 @@ from importlib import import_module
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError, default_budget
+from .errors import BudgetExceededError, default_budget, parse_int
 # convolve is not called here; perfbench/tracer.py wraps the name
 from .sequences import convolve, decimal_str, iter_power, iter_series, ratio, window_estimate
 from .words import cycrep_counts, primitive_counts
@@ -234,10 +234,7 @@ def run_necklace(path: str, fmt: str = "csv") -> str:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise ValueError(f"line {line_no}: expected an integer count, got {line!r}")
+            value = parse_int(line, f"line {line_no}: expected an integer count")
             if value < 0:
                 raise ValueError(f"line {line_no}: counts cannot be negative")
             counts.append(value)
@@ -352,9 +349,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not eq and ((value := next(args, None)) is None or value.startswith("--")):
                 raise ValueError(f"{flag} needs a value")
             field, kind = OPTIONS[verb][flag]
-            if kind is int and not value.removeprefix("-").isdecimal():
-                raise ValueError(f"{flag} needs an integer, got {value!r}")
-            options[field] = kind(value)
+            options[field] = (parse_int(value, f"{flag} needs an integer", digits_only=True)
+                              if kind is int else value)
         if len(files) != (verb == "necklace"):
             wanted = "one counts file" if verb == "necklace" else "no file"
             raise ValueError(f"{verb} takes {wanted}, got {len(files)}")

@@ -6,21 +6,23 @@ one step either way. Word length has a closed form (light every lamp,
 walk a shortest route covering them, end on the cursor). Summed over lamp
 windows it gives a rational growth series (Parry, *Growth series of some
 wreath products*, 1992), from which the sphere counts come by a linear
-recurrence. Conjugacy classes by least length have a closed form too:
-span binomials for classes with the cursor at 0, binary necklaces for the
-rest. The element enumeration ``elements_by_length`` walks the same lamp
-windows (``_windows``); it and the binomial sum over those windows are
-the test routes for both counts.
+recurrence. Conjugacy classes by least length come from series too: a
+rational one for the classes with the cursor at 0, and necklaces of the
+Lucas numbers for the rest (OEIS A000358; cf. Mercier, *Conjugacy growth
+series of some wreath products*). The element enumeration
+``elements_by_length`` walks the same lamp windows (``_windows``) and is a
+test route for both counts; the tests add a binomial sum over those
+windows for the spheres and a double sum of span binomials and binary
+necklaces for the classes.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, gcd
 from typing import Callable, Iterator, NamedTuple
 
 from .sequences import iter_series
-from .words import divisors, euler_phi, least_rotation
+from .words import cycrep_counts, least_rotation
 
 
 class LampElement(NamedTuple):
@@ -154,31 +156,25 @@ def conj_key(x: LampElement):
     return ("moving", x.cursor, least_rotation(bits))
 
 
-def _necklaces(length: int, ones: int) -> int:
-    """Binary necklaces of the given length with the given number of ones."""
-    return sum(euler_phi(d) * comb(length // d, ones // d)
-               for d in divisors(gcd(length, ones))) // length
-
-
 def conjugacy_counts(max_n: int) -> tuple[list[int], list[int]]:
     """(per-radius class counts, cumulative class counts): classes grouped
     by the length of their shortest representative.
 
-    Cursor 0 (``conj_key``'s static classes): one lamp has length 1; k >= 2
-    lamps spanning w >= 1 steps, both ends lit, have length k + 2w, and
-    there are C(w - 1, k - 2) such sets up to translation. Cursor +-M: the
-    class is a necklace of M lamp parities with k lit, and its shortest
-    element walks M steps lighting one lamp per lit residue, length M + k.
+    Cursor 0 (``conj_key``'s static classes): the identity has length 0 and
+    one lamp length 1; k >= 2 lamps spanning w >= 1 steps, both ends lit,
+    have length k + 2w, and the inner w - 1 positions are free, so these
+    classes count t^4 / (1 - t^2 - t^3), and all of them
+    (1 + t - t^2 - 2t^3) / (1 - t^2 - t^3). Cursor +-M: the class is a
+    necklace of M lamp parities, and its shortest element walks M steps
+    lighting one lamp per lit residue, so a dark residue is a bead of
+    length 1 and a lit one a bead of length 2. Such beads tile a cycle of n
+    cells, start marked, in L_n ways (the Lucas numbers, -t D'/D for
+    D = 1 - t - t^2), and ``cycrep_counts`` turns these into necklaces,
+    counted once for each sign of the cursor.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    spheres = [1] + [0] * max_n
-    if max_n >= 1:
-        spheres[1] += 1
-    for w in range(1, max_n // 2):
-        for k in range(2, min(w + 1, max_n - 2 * w) + 1):
-            spheres[k + 2 * w] += comb(w - 1, k - 2)
-    for m in range(1, max_n + 1):
-        for k in range(min(m, max_n - m) + 1):
-            spheres[m + k] += 2 * _necklaces(m, k)
+    static = itertools.islice(iter_series((1, 1, -1, -2), (1, 0, -1, -1)), max_n + 1)
+    lucas = itertools.islice(iter_series((0, 1, 2), (1, -1, -1)), 1, max_n + 1)
+    spheres = [s + 2 * c for s, c in zip(static, [0, *cycrep_counts(list(lucas))])]
     return spheres, list(itertools.accumulate(spheres))

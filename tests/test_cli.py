@@ -44,6 +44,8 @@ P3_GRAPH = "vertices: a b c\nedge: a b\nedge: b c\n"
 C4_GRAPH = "vertices: a b c d\nedge: a b\nedge: b c\nedge: c d\nedge: d a\n"
 P4_GRAPH = "vertices: a b c d\nedge: a b\nedge: b c\nedge: c d\n"
 C5_GRAPH = "vertices: a b c d e\nedge: a b\nedge: b c\nedge: c d\nedge: d e\nedge: e a\n"
+# past CPython's 4,300-digit limit for int conversion
+HUGE = "9" * 5000
 LAMPLIGHTER_N400 = Path(__file__).resolve().parents[1] / "data" / "lamplighter-n400.csv"
 HEISENBERG_N200 = Path(__file__).resolve().parents[1] / "data" / "heisenberg-n200.csv"
 
@@ -361,6 +363,17 @@ class TestTruncation:
         monkeypatch.setenv("CONJRATIO_BUDGET", str(10 ** 200))
         _, out, _ = run_cli(["growth", "--family", "lamplighter", "--max-n", "400"])
         assert out.encode() == LAMPLIGHTER_N400.read_bytes()
+
+    def test_lamplighter_normalized_classes_settle_from_156(self, monkeypatch):
+        # README: n_sph_ratio reads 0.326237921249 to 12 digits from n = 156 on
+        monkeypatch.setenv("CONJRATIO_BUDGET", "1" + "0" * 1000)
+        start = time.perf_counter()
+        code, out, err = run_cli(["growth", "--family", "lamplighter", "--max-n", "2000"])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        settled = [row[6] == "0.326237921249" for row in rows(out)]
+        assert len(settled) == 2001
+        assert not settled[155] and all(settled[156:])
 
     def test_published_heisenberg_table_is_current(self, monkeypatch):
         # data/heisenberg-n200.csv is this command's output
@@ -1123,9 +1136,24 @@ class TestErrorExits:
         (["growth", "--family", "free", "--max", "3"], "growth has no option --max"),
         (["growth", "--fam=free"], "growth has no option --fam"),
         (["growth", "--family", "free", "-n", "3"], "growth has no option -n"),
+        (["growth", "--family", "free", "--max-n", HUGE],
+         "--max-n needs an integer of at most 4300 digits, got 5000 characters"),
     ])
     def test_malformed_command_lines_exit_2_with_one_line(self, argv, err):
         assert run_cli(argv) == (2, "", f"error: {err}\n")
+
+    def test_huge_budget_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("CONJRATIO_BUDGET", HUGE)
+        assert run_cli(["growth", "--family", "free"]) == (
+            2, "", "error: CONJRATIO_BUDGET must be an integer of at most 4300 digits, "
+                   "got 5000 characters\n")
+
+    def test_huge_count_names_its_line(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text(f"2\n{HUGE}\n", encoding="utf-8")
+        assert run_cli(["necklace", str(path)]) == (
+            2, "", "error: line 2: expected an integer count of at most 4300 digits, "
+                   "got 5000 characters\n")
 
     def test_equals_form_reads_like_two_arguments(self):
         spaced = run_cli(["growth", "--family", "free", "--max-n", "4", "--format", "json"])

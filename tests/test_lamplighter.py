@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conjratio import lamplighter as ll
 from conjratio import oracle
+from conjratio.words import cycrep_counts
 
 lamp_sets = st.frozensets(st.integers(-4, 4), max_size=5)
 cursors = st.integers(-4, 4)
@@ -35,6 +36,33 @@ def window_sum_spheres(max_n):
             if length <= max_n:
                 counts[length] += comb(free, j)
     return counts
+
+
+def necklaces(length, ones):
+    """Binary necklaces of the given length with the given number of ones,
+    by Burnside's lemma over the rotations (phi by gcd, not from ``words``)."""
+    phi = lambda d: sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)  # noqa: E731
+    common = gcd(length, ones)
+    return sum(phi(d) * comb(length // d, ones // d)
+               for d in range(1, common + 1) if common % d == 0) // length
+
+
+def double_sum_class_spheres(max_n):
+    """Classes by least length 0..max_n, summed over class shapes. Cursor 0:
+    the identity, one lamp at length 1, and k >= 2 lamps spanning w >= 1
+    steps, both ends lit, at length k + 2w, C(w - 1, k - 2) of them up to
+    translation. Cursor +-M: a necklace of M lamp parities with k lit, at
+    length M + k."""
+    spheres = [1] + [0] * max_n
+    if max_n >= 1:
+        spheres[1] += 1
+    for w in range(1, max_n // 2):
+        for k in range(2, min(w + 1, max_n - 2 * w) + 1):
+            spheres[k + 2 * w] += comb(w - 1, k - 2)
+    for m in range(1, max_n + 1):
+        for k in range(min(m, max_n - m) + 1):
+            spheres[m + k] += 2 * necklaces(m, k)
+    return spheres
 
 
 class TestGroupLaw:
@@ -182,9 +210,18 @@ class TestConjugacyCounts:
             assert ll.conjugacy_counts(n) == (spheres[: n + 1], balls[: n + 1])
 
     def test_smaller_radii_are_prefixes(self):
-        spheres, balls = ll.conjugacy_counts(60)
-        for n in range(61):
+        spheres, balls = ll.conjugacy_counts(300)
+        for n in range(301):
             assert ll.conjugacy_counts(n) == (spheres[: n + 1], balls[: n + 1])
+
+    def test_matches_the_binomial_and_necklace_double_sum(self):
+        assert ll.conjugacy_counts(300)[0] == double_sum_class_spheres(300)
+
+    def test_lucas_necklaces_are_a000358(self):
+        lucas = [1, 3]
+        while len(lucas) < 12:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert cycrep_counts(lucas) == [1, 2, 2, 3, 3, 5, 5, 8, 10, 15, 19, 31]
 
     def test_matches_oracle_counts(self):
         table = oracle.conjugacy_classes(oracle.Lamplighter(), 6, slack=6)

@@ -51,8 +51,12 @@ def loaded_by(argv):
     (("validate", "--family", "dihedral-inf"),
      {"conjratio.oracle", "conjratio.coordinate_groups", "conjratio.suites"}),
     (("growth", "--family", "raag", "--graph", "{P3}"), {"conjratio.raag"}),
+    (("growth", "--family", "lamplighter"), {"conjratio.lamplighter"}),
+    (("validate", "--family", "lamplighter"),
+     {"conjratio.oracle", "conjratio.lamplighter", "conjratio.suites"}),
 ], ids=["import-only", "growth-free", "compare-free-abelian", "growth-heisenberg",
-        "growth-dihedral-inf", "compare-dihedral-inf", "validate-dihedral-inf", "growth-raag-p3"])
+        "growth-dihedral-inf", "compare-dihedral-inf", "validate-dihedral-inf", "growth-raag-p3",
+        "growth-lamplighter", "validate-lamplighter"])
 def test_a_run_loads_only_its_family_module(tmp_path, argv, family_modules):
     p3 = tmp_path / "p3.graph"
     p3.write_text("vertices: a b c\nedge: a b\nedge: b c\n", encoding="utf-8")
